@@ -25,12 +25,6 @@ class GameAdapter(Protocol):
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray: ...
 
 
-@dataclass
-class Agent:
-    type_tag: str
-    score: float = 0.0
-
-
 class Population:
     """Fixed-size collection of typed agents with accumulated scores."""
 
@@ -59,13 +53,6 @@ class Population:
         types = np.repeat(np.arange(len(type_names)), counts)
         return cls(type_names, types)
 
-    @classmethod
-    def from_agents(cls, type_names: Sequence[str], agents: Sequence[Agent]):
-        index = {name: i for i, name in enumerate(type_names)}
-        types = np.array([index[a.type_tag] for a in agents], dtype=np.int64)
-        scores = np.array([a.score for a in agents])
-        return cls(type_names, types, scores)
-
     @property
     def size(self) -> int:
         return self.types.size
@@ -81,9 +68,6 @@ class Population:
         counts = self.counts()
         sums = np.bincount(self.types, weights=self.scores, minlength=len(self.type_names))
         return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-
-    def agents(self) -> list[Agent]:
-        return [Agent(self.type_names[t], s) for t, s in zip(self.types, self.scores)]
 
 
 @dataclass(frozen=True)

@@ -59,10 +59,6 @@ class PdConfig:
             return self.cc if opp == "C" else self.cd
         return self.dc if opp == "C" else self.dd
 
-    def payoff_matrix(self) -> np.ndarray:
-        """Indexed by (own cooperates, opponent cooperates) as 0/1."""
-        return np.array([[self.dd, self.dc], [self.cd, self.cc]])
-
 
 @dataclass(frozen=True)
 class NewcombConfig:
@@ -118,11 +114,15 @@ def pd_component_eu(
     policy, with the component under consideration forced to ``action``
     (same function, same input, same output).
     """
-    p = config.signal_accuracy
-    post = posterior(shares, signal, SignalModel(p, 3))
+    post = posterior(shares, signal, SignalModel(config.signal_accuracy, 3))
+    return _component_eu(config, post, policy, signal, action)
+
+
+def _component_eu(config: PdConfig, post, policy: PdPolicy, signal: int, action: str) -> float:
+    """``pd_component_eu`` given the posterior over the opponent's type."""
     trial = list(policy)
     trial[signal] = action
-    opp_signal = _signal_dist(PD_FDT, p)
+    opp_signal = _signal_dist(PD_FDT, config.signal_accuracy)
     vs_fdt = sum(opp_signal[j] * config.payoff(action, trial[j]) for j in range(3))
     return (
         post[PD_DEFECTOR] * config.payoff(action, "D")
@@ -131,10 +131,10 @@ def pd_component_eu(
     )
 
 
-def _is_fixed_point(config: PdConfig, shares, policy: PdPolicy) -> bool:
+def _is_fixed_point(config: PdConfig, posteriors, policy: PdPolicy) -> bool:
     for s in range(3):
-        eu_c = pd_component_eu(config, shares, policy, s, "C")
-        eu_d = pd_component_eu(config, shares, policy, s, "D")
+        eu_c = _component_eu(config, posteriors[s], policy, s, "C")
+        eu_d = _component_eu(config, posteriors[s], policy, s, "D")
         held = eu_c if policy[s] == "C" else eu_d
         if held < max(eu_c, eu_d):
             return False
@@ -150,10 +150,12 @@ def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     break toward defection, signal by signal.
     """
     shares = np.asarray(shares, dtype=float)
+    model = SignalModel(config.signal_accuracy, 3)
+    posteriors = [posterior(shares, s, model) for s in range(3)]
     fixed = [
         pol
         for pol in itertools.product("DC", repeat=3)
-        if _is_fixed_point(config, shares, pol)
+        if _is_fixed_point(config, posteriors, pol)
     ]
     if not fixed:
         raise NoFixedPointError(
@@ -207,54 +209,44 @@ def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndar
     return eus
 
 
-def _fdt_round_action(opp_type: int, policy: PdPolicy, p: float, rng) -> str:
-    if rng.random() < p:
-        signal = opp_type
-    else:
-        signal = (opp_type + 1 + rng.integers(0, 2)) % 3
-    return policy[signal]
-
-
-def pd_play_round(
-    type1: int, type2: int, policy: PdPolicy, config: PdConfig, rng
-) -> tuple[float, float]:
-    """Play one noisy-signal round; returns realized (utility1, utility2)."""
-
-    def act(own: int, opp: int) -> str:
-        if own == PD_DEFECTOR:
-            return "D"
-        if own == PD_COOPERATOR:
-            return "C"
-        return _fdt_round_action(opp, policy, config.signal_accuracy, rng)
-
-    a1 = act(type1, type2)
-    a2 = act(type2, type1)
-    return config.payoff(a1, a2), config.payoff(a2, a1)
-
-
 def pd_play_many(
     types1: np.ndarray, types2: np.ndarray, policy: PdPolicy, config: PdConfig, rng
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized pd_play_round over aligned arrays of type codes."""
-    coop_given_signal = np.array([a == "C" for a in policy])
-    p = config.signal_accuracy
+    """Play one noisy-signal round per aligned pair; returns each side's utilities.
 
-    def actions(own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-        act = own == PD_COOPERATOR
-        fdt = own == PD_FDT
-        m = int(fdt.sum())
-        if m:
-            opp_fdt = opp[fdt]
-            correct = rng.random(m) < p
-            alt = rng.integers(0, 2, size=m)
-            signal = np.where(correct, opp_fdt, (opp_fdt + 1 + alt) % 3)
-            act[fdt] = coop_given_signal[signal]
+    Pair i is ``types1[i]`` against ``types2[i]``. Each FDT agent on the
+    first side draws whether its signal is correct (``random``) and which
+    wrong type it names (``integers``), then the second side does the same;
+    a wrong signal about type t names type (t + 1 + alt) % 3.
+    """
+    p = config.signal_accuracy
+    coop = [a == "C" for a in policy]
+    # FDT cooperation indexed by 4 * opponent type + 2 * correct + alt.
+    fdt_coop = np.array(
+        [
+            coop[opp if correct else (opp + 1 + alt) % 3]
+            for opp in range(3)
+            for correct in (0, 1)
+            for alt in (0, 1)
+        ],
+        dtype=np.uint8,
+    )
+
+    def cooperates(own: np.ndarray, opp: np.ndarray) -> np.ndarray:
+        act = (own == PD_COOPERATOR).view(np.uint8)
+        fdt = np.flatnonzero(own == PD_FDT)
+        if fdt.size:
+            correct = rng.random(fdt.size) < p
+            alt = rng.integers(0, 2, size=fdt.size)
+            act[fdt] = fdt_coop[4 * opp[fdt] + 2 * correct + alt]
         return act
 
-    a1 = actions(types1, types2)
-    a2 = actions(types2, types1)
-    matrix = config.payoff_matrix()
-    return matrix[a1.astype(int), a2.astype(int)], matrix[a2.astype(int), a1.astype(int)]
+    pair = 2 * cooperates(types1, types2)
+    pair += cooperates(types2, types1)
+    # Payoffs indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
+    side1 = np.array([config.dd, config.dc, config.cd, config.cc])
+    side2 = np.array([config.dd, config.cd, config.dc, config.cc])
+    return side1[pair], side2[pair]
 
 
 # ---------------------------------------------------------------------------
@@ -273,34 +265,20 @@ def newcomb_decision(theory: str, config: NewcombConfig) -> str:
     return ONE_BOX if one_box_eu > two_box_eu else TWO_BOX
 
 
-def newcomb_play_round(theory: str, config: NewcombConfig, rng) -> float:
-    """One predictor encounter; returns the realized utility.
+def newcomb_play_many(types: np.ndarray, config: NewcombConfig, rng) -> np.ndarray:
+    """One predictor encounter per entry of ``types``; returns realized utilities.
 
     The predictor reads the agent's would-be choice correctly with
     probability ``accuracy`` and fills the big box only on a one-box read.
     An agent facing a visibly empty big box settles for the low reward.
     """
-    would_one_box = newcomb_decision(theory, config) == ONE_BOX
-    correct = rng.random() < config.accuracy
-    predicted_one_box = would_one_box if correct else not would_one_box
-    if not predicted_one_box:
-        return config.low
-    return config.high if would_one_box else config.high + config.low
-
-
-def newcomb_play_many(types: np.ndarray, config: NewcombConfig, rng) -> np.ndarray:
-    """Vectorized newcomb_play_round over an array of type codes."""
-    one_box_by_type = np.array(
-        [newcomb_decision(name, config) == ONE_BOX for name in NEWCOMB_TYPES]
-    )
-    would_one_box = one_box_by_type[types]
-    correct = rng.random(types.size) < config.accuracy
-    predicted_one_box = would_one_box == correct
-    return np.where(
-        predicted_one_box,
-        np.where(would_one_box, config.high, config.high + config.low),
-        config.low,
-    )
+    # Utility indexed by 2 * (would one-box) + (prediction correct).
+    utility = np.array([config.high + config.low, config.low, config.low, config.high])
+    index = np.array(
+        [2 * (newcomb_decision(name, config) == ONE_BOX) for name in NEWCOMB_TYPES]
+    )[types]
+    index += rng.random(types.size) < config.accuracy
+    return utility[index]
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +310,6 @@ def beauty_guesses(shares, config: BeautyConfig) -> tuple[float, float]:
     return clamp(cdt), clamp(fdt)
 
 
-def beauty_play_round(types: np.ndarray, config: BeautyConfig, rng) -> np.ndarray:
-    """One whole-population guessing round; returns per-agent utilities.
-
-    Utility is the inverse distance to ``fraction`` times the realized
-    average, capped, so errors of 1/cap or less score exactly the cap.
-    """
-    types = np.asarray(types)
-    if types.size == 0:
-        raise ValueError("population is empty")
-    counts = np.bincount(types, minlength=3)
-    cdt_guess, fdt_guess = beauty_guesses(counts / types.size, config)
-    guesses = np.empty(types.size)
-    random_mask = types == BEAUTY_RANDOM
-    guesses[random_mask] = rng.uniform(config.low, config.high, int(random_mask.sum()))
-    guesses[types == BEAUTY_CDT] = cdt_guess
-    guesses[types == BEAUTY_FDT] = fdt_guess
-    target = config.fraction * guesses.mean()
-    error = np.abs(target - guesses)
-    return np.minimum(config.cap, 1.0 / np.maximum(error, 1.0 / config.cap))
-
-
 # ---------------------------------------------------------------------------
 # Adapters consumed by the generation loop
 # ---------------------------------------------------------------------------
@@ -361,7 +318,6 @@ class PdGame:
     """Pairwise play: every round draws a fresh random perfect matching."""
 
     type_names = PD_TYPES
-    pairwise = True
 
     def __init__(self, config: PdConfig):
         self.config = config
@@ -376,9 +332,11 @@ class PdGame:
         if n % 2:
             perms = perms[:, :-1]  # one agent sits out each round
         left, right = perms[:, 0::2].ravel(), perms[:, 1::2].ravel()
-        u_left, u_right = pd_play_many(
-            types[left], types[right], policy, self.config, rng
-        )
+        del perms  # freed before the kernel allocates its per-pair arrays
+        codes = types.astype(np.int8)
+        u_left, u_right = pd_play_many(codes[left], codes[right], policy, self.config, rng)
+        # Two bincounts, left then right: one over both sides would add each
+        # agent's payoffs in another order.
         scores = np.bincount(left, weights=u_left, minlength=n)
         scores += np.bincount(right, weights=u_right, minlength=n)
         return scores
@@ -388,37 +346,55 @@ class NewcombGame:
     """Each agent plays one independent predictor round per round."""
 
     type_names = NEWCOMB_TYPES
-    pairwise = False
 
     def __init__(self, config: NewcombConfig):
         self.config = config
 
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
-        correct = rng.random((rounds, types.size)) < self.config.accuracy
-        one_box_by_type = np.array(
-            [newcomb_decision(name, self.config) == ONE_BOX for name in NEWCOMB_TYPES]
-        )
-        would_one_box = one_box_by_type[types]
-        predicted_one_box = would_one_box[None, :] == correct
-        utilities = np.where(
-            predicted_one_box,
-            np.where(would_one_box[None, :], self.config.high, self.config.high + self.config.low),
-            self.config.low,
-        )
-        return utilities.sum(axis=0)
+        utilities = newcomb_play_many(np.tile(types, rounds), self.config, rng)
+        return utilities.reshape(rounds, types.size).sum(axis=0)
 
 
 class BeautyGame:
     """One whole-population guessing round per round."""
 
     type_names = BEAUTY_TYPES
-    pairwise = False
 
     def __init__(self, config: BeautyConfig):
         self.config = config
 
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
-        scores = np.zeros(types.size)
+        """Per-agent utilities summed over ``rounds`` guessing rounds.
+
+        Every round the Random agents draw fresh guesses; the CDT and FDT
+        guesses depend only on the shares, which are fixed within a
+        generation. Utility is the inverse distance to ``fraction`` times the
+        realized average guess, capped, so errors of 1/cap or less score
+        exactly the cap.
+        """
+        config = self.config
+        n = types.size
+        if n == 0:
+            raise ValueError("population is empty")
+        cdt_guess, fdt_guess = beauty_guesses(np.bincount(types, minlength=3) / n, config)
+        is_cdt = types == BEAUTY_CDT
+        random_at = np.flatnonzero(types == BEAUTY_RANDOM)
+        guesses = np.where(is_cdt, cdt_guess, fdt_guess)
+        floor = 1.0 / config.cap
+        random_scores = np.zeros(random_at.size)
+        cdt_score = fdt_score = 0.0
+        # Utilities add up round by round: summing a (rounds, k) matrix at the
+        # end would use pairwise summation and change the last bits.
         for _ in range(rounds):
-            scores += beauty_play_round(types, self.config, rng)
+            draws = rng.uniform(config.low, config.high, random_at.size)
+            guesses[random_at] = draws
+            target = config.fraction * guesses.mean()
+            cdt_score += min(config.cap, 1.0 / max(abs(target - cdt_guess), floor))
+            fdt_score += min(config.cap, 1.0 / max(abs(target - fdt_guess), floor))
+            error = np.abs(np.subtract(target, draws, out=draws), out=draws)
+            np.maximum(error, floor, out=error)
+            np.divide(1.0, error, out=error)
+            random_scores += np.minimum(error, config.cap, out=error)
+        scores = np.where(is_cdt, cdt_score, fdt_score)
+        scores[random_at] = random_scores
         return scores

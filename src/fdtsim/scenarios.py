@@ -5,6 +5,7 @@ numbers as defaults; any numeric default can be overridden by name.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -94,6 +95,8 @@ def _resolve_params(params: ScenarioParams) -> dict[str, float]:
             )
         values[name] = float(value)
     for name in values:
+        if not math.isfinite(values[name]):
+            raise ScenarioError(f"parameter {name!r} must be finite, got {values[name]}")
         if name in _PROBABILITY_PARAMS and not 0.0 <= values[name] <= 1.0:
             raise ScenarioError(f"parameter {name!r} must be a probability, got {values[name]}")
     if params.scenario == "twin-pd":

@@ -431,10 +431,9 @@ def test_criterion_14_invariant_spotchecks():
     ok &= all(sum(r.counts) == 501 for r in traj.records)
 
     # beauty utility bounds
-    from fdtsim.games import beauty_play_round
-
+    game = BeautyGame(BeautyConfig())
     for _ in range(50):
-        utilities = beauty_play_round(rng.integers(0, 3, size=30), BeautyConfig(), rng)
+        utilities = game.play_generation(rng.integers(0, 3, size=30), 1, rng)
         ok &= (utilities >= 0.01 - 1e-12).all() and (utilities <= 1000 + 1e-12).all()
 
     report("14", ok, "normalization, shift-invariance, FDT=CDT single-dependent, "

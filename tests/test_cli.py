@@ -99,6 +99,14 @@ def test_scenario_command_bad_override():
     assert cli.main(["scenario", "newcomb", "--accuracy", "2.0"]) == 1
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_scenario_command_rejects_non_finite_override(value, capsys):
+    assert cli.main(["scenario", "newcomb", "--big-box", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_evolve_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = cli.main([

@@ -20,15 +20,15 @@ from fdtsim.games import (
     PdConfig,
     PdGame,
     beauty_guesses,
-    beauty_play_round,
     newcomb_decision,
     newcomb_play_many,
     pd_component_eu,
     pd_expected_utilities,
     pd_play_many,
-    pd_play_round,
     solve_fdt_pd_policy,
 )
+
+from oracles import pd_play_round
 
 BASELINE = PdConfig()
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -232,7 +232,7 @@ def test_beauty_guesses_are_mutual_best_responses(shares, fraction):
 def test_beauty_utilities_bounded(seed, n):
     rng = np.random.default_rng(seed)
     types = rng.integers(0, 3, size=n)
-    utilities = beauty_play_round(types, BeautyConfig(), rng)
+    utilities = BeautyGame(BeautyConfig()).play_generation(types, 1, rng)
     assert (utilities >= 0.01 - 1e-12).all()
     assert (utilities <= 1000.0 + 1e-12).all()
 
