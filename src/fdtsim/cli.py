@@ -8,13 +8,23 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments
+from .beliefs import AllZeroPosteriorError
+from .evolve import NonPositiveScoreError
 from .experiments import PRESETS, ExperimentConfig, SweepSpec
+from .games import NoFixedPointError
 from .graphs import THEORIES, decide
 from .scenarios import SCENARIO_IDS, ScenarioError, build
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_IO = 2
+
+# Flags that override one ExperimentConfig field each, with their value types.
+RUN_FLAGS = dict(seed=int, generations=int, population=int, rounds=int,
+                 birth_rate=float, mutation_rate=float, snapshot_every=int)
+
+# Errors a valid config can still meet while it runs, from the game it plays.
+RUN_ERRORS = (NonPositiveScoreError, AllZeroPosteriorError, NoFixedPointError)
 
 # Sweep presets: (kind, base experiment, default sweep settings).
 SWEEP_PRESETS: dict[str, tuple[str, ExperimentConfig, SweepSpec]] = {
@@ -39,14 +49,9 @@ SWEEP_PRESETS: dict[str, tuple[str, ExperimentConfig, SweepSpec]] = {
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="path to a JSON experiment config")
     parser.add_argument("--preset", help="named built-in configuration")
-    parser.add_argument("--seed", type=int)
     parser.add_argument("--out", help="output CSV path (sweeps: path template)")
-    parser.add_argument("--generations", type=int)
-    parser.add_argument("--population", type=int)
-    parser.add_argument("--rounds", type=int)
-    parser.add_argument("--birth-rate", type=float)
-    parser.add_argument("--mutation-rate", type=float)
-    parser.add_argument("--snapshot-every", type=int)
+    for name, kind in RUN_FLAGS.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -64,6 +69,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_run_flags(p_swp)
     p_swp.add_argument("--runs", type=int, help="number of sweep runs")
     return parser
+
+
+def _error(message, code: int = EXIT_USAGE) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def _scenario_overrides(extras: list[str]) -> dict[str, float]:
@@ -85,8 +95,7 @@ def _cmd_scenario(args: argparse.Namespace, extras: list[str]) -> int:
         problem = build(args.scenario, **overrides)
         report = decide(problem, args.theory)
     except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(exc)
     print(f"scenario: {args.scenario}")
     print(f"theory: {args.theory}")
     for action, eu in report.expected_utility.items():
@@ -112,19 +121,11 @@ def _load_config(args: argparse.Namespace, presets: dict) -> ExperimentConfig:
         config = presets[args.preset]
     else:
         raise ValueError("one of --config or --preset is required")
-    updates = {}
-    for flag, name in (
-        ("seed", "seed"),
-        ("generations", "generations"),
-        ("population", "population"),
-        ("rounds", "rounds"),
-        ("birth_rate", "birth_rate"),
-        ("mutation_rate", "mutation_rate"),
-        ("snapshot_every", "snapshot_every"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            updates[name] = value
+    return _apply_run_flags(config, args)
+
+
+def _apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    updates = {name: getattr(args, name) for name in RUN_FLAGS if getattr(args, name) is not None}
     return replace(config, **updates) if updates else config
 
 
@@ -138,19 +139,19 @@ def _summarize(label: str, config: ExperimentConfig, trajectory) -> None:
 def _cmd_evolve(args: argparse.Namespace) -> int:
     try:
         config = _load_config(args, PRESETS)
-    except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:
+        return _error(exc)
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    trajectory = experiments.run(config)
+        return _error(exc, EXIT_IO)
+    try:
+        trajectory = experiments.run(config)
+    except RUN_ERRORS as exc:
+        return _error(exc)
     if args.out:
         try:
             experiments.write_trajectory(args.out, trajectory, config)
         except OSError as exc:
-            print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-            return EXIT_IO
+            return _error(f"cannot write {args.out}: {exc}", EXIT_IO)
         print(f"wrote {args.out}")
     _summarize(config.game, config, trajectory)
     return EXIT_OK
@@ -165,41 +166,30 @@ def _sweep_out_path(template: str, index: int) -> Path:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if not args.preset or args.preset not in SWEEP_PRESETS:
-        print(
-            f"error: sweep requires --preset, one of {sorted(SWEEP_PRESETS)}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
+        return _error(f"sweep requires --preset, one of {sorted(SWEEP_PRESETS)}")
     kind, base, spec = SWEEP_PRESETS[args.preset]
-    for flag, name in (
-        ("generations", "generations"),
-        ("population", "population"),
-        ("rounds", "rounds"),
-        ("birth_rate", "birth_rate"),
-        ("mutation_rate", "mutation_rate"),
-        ("snapshot_every", "snapshot_every"),
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            base = replace(base, **{name: value})
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    if args.runs is not None:
-        if args.runs < 0:
-            print("error: --runs must be nonnegative", file=sys.stderr)
-            return EXIT_USAGE
-        spec = replace(spec, runs=args.runs)
-    configs = experiments.sweep_configs(kind, base, spec)
+    try:
+        # The base seed is checked here; each run's seed is drawn from the spec's.
+        base = _apply_run_flags(base, args)
+        if args.seed is not None:
+            spec = replace(spec, seed=args.seed)
+        if args.runs is not None:
+            spec = replace(spec, runs=args.runs)
+        configs = experiments.sweep_configs(kind, base, spec)
+    except ValueError as exc:
+        return _error(exc)
     print(f"sweep {args.preset}: {len(configs)} runs")
     for i, (config, info) in enumerate(configs):
-        trajectory = experiments.run(config)
+        try:
+            trajectory = experiments.run(config)
+        except RUN_ERRORS as exc:
+            return _error(f"run {i}: {exc}")
         if args.out:
             path = _sweep_out_path(args.out, i)
             try:
                 experiments.write_trajectory(path, trajectory, config)
             except OSError as exc:
-                print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-                return EXIT_IO
+                return _error(f"cannot write {path}: {exc}", EXIT_IO)
         drawn = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in info.items())
         _summarize(f"run {i} [{drawn}]", config, trajectory)
     return EXIT_OK
@@ -209,8 +199,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args, extras = parser.parse_known_args(argv)
     if extras and args.command != "scenario":
-        print(f"error: unrecognized arguments: {' '.join(extras)}", file=sys.stderr)
-        return EXIT_USAGE
+        return _error(f"unrecognized arguments: {' '.join(extras)}")
     if args.command == "scenario":
         return _cmd_scenario(args, extras)
     if args.command == "evolve":

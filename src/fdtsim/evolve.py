@@ -10,9 +10,12 @@ bit-for-bit regardless of how rounds are scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .experiments import ExperimentConfig
 
 
 class NonPositiveScoreError(ValueError):
@@ -43,7 +46,8 @@ class Population:
         shares = np.asarray(shares, dtype=float)
         if shares.shape != (len(type_names),):
             raise ValueError(f"expected {len(type_names)} shares, got {shares.shape}")
-        if np.any(shares < 0.0) or abs(shares.sum() - 1.0) > 1e-9:
+        # Written so that NaN fails: every comparison with NaN is False.
+        if not (np.all(shares >= 0.0) and abs(shares.sum() - 1.0) <= 1e-9):
             raise ValueError(f"shares must be nonnegative and sum to 1, got {shares.tolist()}")
         exact = shares * size
         counts = np.floor(exact).astype(np.int64)
@@ -71,32 +75,6 @@ class Population:
 
 
 @dataclass(frozen=True)
-class EvolveConfig:
-    population_size: int
-    generations: int
-    rounds: int
-    birth_rate: float = 0.01
-    mutation_rate: float = 0.001
-    initial_shares: tuple[float, ...] = ()
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.population_size < 1:
-            raise ValueError("population_size must be >= 1")
-        if self.generations < 0 or self.rounds < 0:
-            raise ValueError("generations and rounds must be nonnegative")
-        for name in ("birth_rate", "mutation_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {rate}")
-        if self.birth_rate > 0.0 and round(self.population_size * self.birth_rate) < 1:
-            raise ValueError(
-                "birth_rate is positive but rounds to zero replacements per generation"
-            )
-        object.__setattr__(self, "initial_shares", tuple(self.initial_shares))
-
-
-@dataclass(frozen=True)
 class GenerationRecord:
     generation: int
     counts: tuple[int, ...]
@@ -121,13 +99,7 @@ class Trajectory:
         return dict(zip(self.type_names, last.shares))
 
 
-def run_generation(pop: Population, game: GameAdapter, config: EvolveConfig, rng) -> Population:
-    """Play one generation's rounds; returns the scored population."""
-    scores = game.play_generation(pop.types, config.rounds, rng)
-    return Population(pop.type_names, pop.types, scores)
-
-
-def repopulate(pop: Population, config: EvolveConfig, rng) -> Population:
+def repopulate(pop: Population, config: ExperimentConfig, rng) -> Population:
     """Score-weighted births, inverse-score-weighted deaths, then mutation.
 
     Births and deaths are both sampled from the pre-update snapshot and
@@ -163,17 +135,13 @@ def _stream(seed: int, generation: int, phase: int):
     )
 
 
-def run_experiment(config: EvolveConfig, game: GameAdapter) -> Trajectory:
+def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:
     """Run the full generation loop; deterministic given the master seed."""
-    if len(config.initial_shares) != len(game.type_names):
-        raise ValueError(
-            f"initial_shares has {len(config.initial_shares)} entries, "
-            f"game has {len(game.type_names)} types"
-        )
-    pop = Population.from_shares(game.type_names, config.initial_shares, config.population_size)
+    pop = Population.from_shares(game.type_names, config.initial_shares, config.population)
     trajectory = Trajectory(type_names=tuple(game.type_names))
     for generation in range(1, config.generations + 1):
-        scored = run_generation(pop, game, config, _stream(config.seed, generation, 0))
+        scores = game.play_generation(pop.types, config.rounds, _stream(config.seed, generation, 0))
+        scored = Population(pop.type_names, pop.types, scores)
         mean_scores = scored.mean_scores()
         pop = repopulate(scored, config, _stream(config.seed, generation, 1))
         trajectory.records.append(

@@ -2,21 +2,34 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .evolve import EvolveConfig, Trajectory, run_experiment
+from .evolve import Trajectory, run_experiment
 from .games import BeautyConfig, BeautyGame, NewcombConfig, NewcombGame, PdConfig, PdGame
+from .games import _is_finite_number
 
-GAME_IDS = ("pd", "newcomb", "beauty")
+# Game id -> (adapter class, parameter config class).
+GAMES = {
+    "pd": (PdGame, PdConfig),
+    "newcomb": (NewcombGame, NewcombConfig),
+    "beauty": (BeautyGame, BeautyConfig),
+}
+
+# Integer fields and their least allowed value.
+_INT_FIELDS = (("population", 1), ("generations", 0), ("rounds", 0), ("seed", 0), ("snapshot_every", 1))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One evolutionary run: the game, its parameters, and the loop settings."""
+    """One evolutionary run: the game, its parameters, and the loop settings.
+
+    Every field is checked on construction, so a config that exists can be
+    run. Numbers are stored as given, so the CSV header echoes the config.
+    """
 
     game: str
     population: int
@@ -30,64 +43,71 @@ class ExperimentConfig:
     snapshot_every: int = 1
 
     def __post_init__(self) -> None:
-        if self.game not in GAME_IDS:
-            raise ValueError(f"unknown game {self.game!r}; expected one of {GAME_IDS}")
-        if self.snapshot_every < 1:
-            raise ValueError("snapshot_every must be >= 1")
-        object.__setattr__(self, "initial_shares", tuple(self.initial_shares))
+        if not isinstance(self.game, str) or self.game not in GAMES:
+            raise ValueError(f"unknown game {self.game!r}; expected one of {tuple(GAMES)}")
+        for name, least in _INT_FIELDS:
+            value = getattr(self, name)
+            if not (isinstance(value, int) and _is_finite_number(value) and value >= least):
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("birth_rate", "mutation_rate"):
+            value = getattr(self, name)
+            if not (_is_finite_number(value) and 0.0 <= value <= 1.0):
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if self.birth_rate > 0.0 and round(self.population * self.birth_rate) < 1:
+            raise ValueError("birth_rate is positive but rounds to zero replacements per generation")
+        if self.birth_rate > 0.0 and self.rounds < 1:
+            # With no round played every agent scores 0, which reproduction cannot weight.
+            raise ValueError("rounds must be >= 1 when birth_rate is positive")
+        if not isinstance(self.game_params, dict):
+            raise ValueError(f"game_params must be an object, got {self.game_params!r}")
         object.__setattr__(self, "game_params", dict(self.game_params))
+        self._game_config()
+        shares, types = self.initial_shares, len(GAMES[self.game][0].type_names)
+        if not (
+            isinstance(shares, (list, tuple))
+            and len(shares) == types
+            and all(_is_finite_number(s) and s >= 0.0 for s in shares)
+            and abs(sum(shares) - 1.0) <= 1e-9
+        ):
+            raise ValueError(
+                f"initial_shares must be {types} finite, nonnegative numbers that sum to 1, "
+                f"got {shares!r}"
+            )
+        object.__setattr__(self, "initial_shares", tuple(shares))
+
+    def _game_config(self):
+        try:
+            return GAMES[self.game][1](**self.game_params)
+        except TypeError as exc:  # a key the game's config does not have
+            raise ValueError(f"invalid game_params for {self.game!r}: {exc}") from None
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "population": self.population,
-            "generations": self.generations,
-            "rounds": self.rounds,
-            "initial_shares": list(self.initial_shares),
-            "birth_rate": self.birth_rate,
-            "mutation_rate": self.mutation_rate,
-            "seed": self.seed,
-            "game_params": dict(self.game_params),
-            "snapshot_every": self.snapshot_every,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        return dict(data, initial_shares=list(self.initial_shares), game_params=dict(self.game_params))
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(
-            game=data["game"],
-            population=data["population"],
-            generations=data["generations"],
-            rounds=data["rounds"],
-            initial_shares=tuple(data["initial_shares"]),
-            birth_rate=data.get("birth_rate", 0.01),
-            mutation_rate=data.get("mutation_rate", 0.001),
-            seed=data.get("seed", 0),
-            game_params=dict(data.get("game_params", {})),
-            snapshot_every=data.get("snapshot_every", 1),
-        )
+    def from_dict(cls, data) -> "ExperimentConfig":
+        """Build a config from a JSON object, rejecting unknown and missing keys."""
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
+        known = {f.name: f for f in fields(cls)}
+        unknown = sorted(str(key) for key in data if key not in known)
+        if unknown:
+            raise ValueError(f"unknown config keys {unknown}; valid keys: {list(known)}")
+        missing = [
+            name for name, f in known.items()
+            if name not in data and f.default is MISSING and f.default_factory is MISSING
+        ]
+        if missing:
+            raise ValueError(f"missing config keys {missing}")
+        return cls(**data)
 
     def make_game(self):
-        params = self.game_params
-        if self.game == "pd":
-            return PdGame(PdConfig(**params))
-        if self.game == "newcomb":
-            return NewcombGame(NewcombConfig(**params))
-        return BeautyGame(BeautyConfig(**params))
-
-    def evolve_config(self) -> EvolveConfig:
-        return EvolveConfig(
-            population_size=self.population,
-            generations=self.generations,
-            rounds=self.rounds,
-            birth_rate=self.birth_rate,
-            mutation_rate=self.mutation_rate,
-            initial_shares=self.initial_shares,
-            seed=self.seed,
-        )
+        return GAMES[self.game][0](self._game_config())
 
 
 def run(config: ExperimentConfig) -> Trajectory:
-    return run_experiment(config.evolve_config(), config.make_game())
+    return run_experiment(config, config.make_game())
 
 
 THIRD = 1.0 / 3.0

@@ -9,6 +9,8 @@ contest: the whole population guesses at once and is scored by inverse error.
 from __future__ import annotations
 
 import itertools
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +36,21 @@ class NoFixedPointError(RuntimeError):
     """No self-consistent policy exists for the given parameters."""
 
 
+def _is_finite_number(value) -> bool:
+    """A real number, not a bool, that is neither NaN nor beyond the float range."""
+    return (
+        isinstance(value, numbers.Real)
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _check_finite(config) -> None:
+    for name, value in vars(config).items():
+        if not _is_finite_number(value):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PdConfig:
     cc: float = 7.0
@@ -43,6 +60,7 @@ class PdConfig:
     signal_accuracy: float = 0.9
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.dc > self.cc > self.dd > self.cd:
             raise ValueError(
                 "payoffs must satisfy DC > CC > DD > CD, got "
@@ -67,6 +85,7 @@ class NewcombConfig:
     accuracy: float = 0.99
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not self.high > self.low > 0.0:
             raise ValueError(f"need high > low > 0, got high={self.high} low={self.low}")
         if not 0.0 <= self.accuracy <= 1.0:
@@ -81,6 +100,7 @@ class BeautyConfig:
     cap: float = 1000.0
 
     def __post_init__(self) -> None:
+        _check_finite(self)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
         if self.cap <= 0.0:

@@ -13,7 +13,7 @@ import pytest
 
 from fdtsim import experiments
 from fdtsim.beliefs import SignalModel, posterior
-from fdtsim.evolve import EvolveConfig, run_experiment
+from fdtsim.evolve import run_experiment
 from fdtsim.experiments import PRESETS, ExperimentConfig
 from fdtsim.games import (
     PD_COOPERATOR,
@@ -177,8 +177,9 @@ def _pd_runs(initial_shares, generations, mutation_rate, seeds, n=PD_N):
     game = PdGame(PdConfig())
     out = []
     for seed in seeds:
-        cfg = EvolveConfig(
-            population_size=n,
+        cfg = ExperimentConfig(
+            game="pd",
+            population=n,
             generations=generations,
             rounds=100,
             birth_rate=PD_BIRTH_RATE,
@@ -322,7 +323,10 @@ def test_criterion_10_newcomb_analytic_and_evolutionary():
 
     finals = []
     for seed in range(10):
-        cfg = EvolveConfig(3000, 100, 100, 0.01, 0.001, (0.5, 0.5), seed=seed)
+        cfg = ExperimentConfig(
+            game="newcomb", population=3000, generations=100, rounds=100, birth_rate=0.01,
+            mutation_rate=0.001, initial_shares=(0.5, 0.5), seed=seed,
+        )
         finals.append(run_experiment(cfg, NewcombGame(config)).final_shares()["fdt"])
     passes = sum(f > 0.95 for f in finals)
     ok &= passes >= 9
@@ -382,7 +386,10 @@ def test_criterion_12_beauty_round_one_and_evolution():
     finals = []
     for start in (THIRDS, (0.1, 0.8, 0.1)):
         for seed in range(10):
-            cfg = EvolveConfig(10_000, 750, 100, 0.01, 0.001, start, seed=seed)
+            cfg = ExperimentConfig(
+                game="beauty", population=10_000, generations=750, rounds=100, birth_rate=0.01,
+                mutation_rate=0.001, initial_shares=start, seed=seed,
+            )
             finals.append(run_experiment(cfg, game).final_shares()["fdt"])
     thirds_passes = sum(0.70 <= f <= 0.86 for f in finals[:10])
     heavy_passes = sum(0.70 <= f <= 0.86 for f in finals[10:])
@@ -426,7 +433,10 @@ def test_criterion_14_invariant_spotchecks():
     ok &= all(abs(cdt[a] - fdt[a]) < 1e-12 for a in cdt)
 
     # population-size conservation
-    cfg = EvolveConfig(501, 5, 3, 0.05, 0.5, THIRDS, seed=5)
+    cfg = ExperimentConfig(
+        game="pd", population=501, generations=5, rounds=3, birth_rate=0.05,
+        mutation_rate=0.5, initial_shares=THIRDS, seed=5,
+    )
     traj = run_experiment(cfg, PdGame(PdConfig()))
     ok &= all(sum(r.counts) == 501 for r in traj.records)
 

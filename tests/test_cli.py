@@ -148,6 +148,57 @@ def test_evolve_rejects_unknown_flags():
     assert cli.main(["evolve", "--preset", "newcomb-baseline", "--bogus", "1"]) == 1
 
 
+PD_RUN = {
+    "game": "pd", "population": 40, "generations": 2, "rounds": 3,
+    "initial_shares": [1 / 3, 1 / 3, 1 / 3], "birth_rate": 0.05,
+}
+CONFIG = ["evolve", "--config", "CONFIG"]
+EVOLVE_PD = ["evolve", "--preset", "pd-baseline"]
+
+# Bad input, or a valid run the engine cannot finish: each must end in one
+# ``error:`` line. ``CONFIG`` stands for the path of a file holding the JSON value.
+REPRODUCERS = {
+    "game-params-typo": (CONFIG, dict(PD_RUN, game_params={"signal_acuracy": 0.9})),
+    "payoff-order": (CONFIG, dict(PD_RUN, game_params={"cc": 1})),
+    "unknown-key": (CONFIG, dict(PD_RUN, birthrate=0.5)),
+    "string-population": (CONFIG, dict(PD_RUN, population="40")),
+    "two-pd-shares": (CONFIG, dict(PD_RUN, initial_shares=[0.5, 0.5])),
+    "nan-birth-rate": (CONFIG, dict(PD_RUN, birth_rate=math.nan)),
+    "top-level-list": (CONFIG, [PD_RUN]),
+    "nan-shares": (CONFIG, dict(PD_RUN, initial_shares=[math.nan, 0.5, 0.5])),
+    "no-replacements": (
+        CONFIG, {k: v for k, v in dict(PD_RUN, population=50).items() if k != "birth_rate"}
+    ),
+    "rounds-0": (EVOLVE_PD + ["--rounds", "0"], None),
+    "negative-seed": (EVOLVE_PD + ["--seed", "-1"], None),
+    "negative-generations": (EVOLVE_PD + ["--generations", "-2"], None),
+    "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
+    "sweep-birth-rate-2": (["sweep", "--preset", "pd-payoff-sweep", "--birth-rate", "2"], None),
+    # Valid configs whose run fails: an agent that sits out every round
+    # scores 0, and a perfect signal about an extinct type has no posterior.
+    "odd-n-sit-out": (
+        EVOLVE_PD + ["--population", "37", "--rounds", "1", "--generations", "3",
+                     "--birth-rate", "0.1", "--seed", "0"],
+        None,
+    ),
+    "disjoint-signal-support": (
+        CONFIG,
+        dict(PD_RUN, initial_shares=[0.9, 0.0, 0.1], game_params={"signal_accuracy": 1.0}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REPRODUCERS))
+def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
+    argv, config = REPRODUCERS[case]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main([str(path) if arg == "CONFIG" else arg for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_sweep_zero_runs(capsys):
     assert cli.main([
         "sweep", "--preset", "newcomb-sweep", "--runs", "0",

@@ -3,16 +3,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdtsim.evolve import (
-    EvolveConfig,
     NonPositiveScoreError,
     Population,
     repopulate,
     run_experiment,
 )
+from fdtsim.experiments import ExperimentConfig
 
 
 class ConstantGame:
-    """Scores each agent by a fixed per-type value; handy for oracles."""
+    """Scores each agent by a fixed per-type value; handy for oracles.
+
+    The configs below name a game with as many types only to satisfy the
+    config's checks; ``run_experiment`` plays the game it is given.
+    """
 
     type_names = ("a", "b", "c")
 
@@ -25,7 +29,8 @@ class ConstantGame:
 
 def config(**kwargs):
     defaults = dict(
-        population_size=30,
+        game="pd",
+        population=30,
         generations=5,
         rounds=2,
         birth_rate=0.1,
@@ -34,7 +39,7 @@ def config(**kwargs):
         seed=0,
     )
     defaults.update(kwargs)
-    return EvolveConfig(**defaults)
+    return ExperimentConfig(**defaults)
 
 
 def test_from_shares_largest_remainder():
@@ -46,13 +51,22 @@ def test_from_shares_largest_remainder():
     assert pop.counts().tolist() == [9000, 0, 1000]
 
 
+@pytest.mark.parametrize(
+    "shares",
+    [(float("nan"), 0.5, 0.5), (float("inf"), 0.0, 0.0), (1.5, -0.5, 0.0), (0.5, 0.5, 0.5)],
+)
+def test_from_shares_rejects_invalid_shares(shares):
+    with pytest.raises(ValueError, match="shares"):
+        Population.from_shares(("a", "b", "c"), shares, 10)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         config(birth_rate=-0.1)
     with pytest.raises(ValueError):
         config(mutation_rate=1.5)
     with pytest.raises(ValueError):
-        config(population_size=10, birth_rate=0.01)  # round(N*b) = 0 with b > 0
+        config(population=10, birth_rate=0.01)  # round(N*b) = 0 with b > 0
 
 
 def test_identity_when_rates_zero():
@@ -64,7 +78,7 @@ def test_identity_when_rates_zero():
 
 
 def test_population_size_conserved():
-    cfg = config(population_size=101, birth_rate=0.05, mutation_rate=0.01, generations=10)
+    cfg = config(population=101, birth_rate=0.05, mutation_rate=0.01, generations=10)
     traj = run_experiment(cfg, ConstantGame())
     for record in traj.records:
         assert sum(record.counts) == 101
@@ -81,7 +95,7 @@ def test_population_size_conserved():
 def test_population_size_conserved_property(n, b, m, seed):
     if 0 < b and round(n * b) < 1:
         b = 0.0
-    cfg = config(population_size=n, birth_rate=b, mutation_rate=m, generations=3, seed=seed)
+    cfg = config(population=n, birth_rate=b, mutation_rate=m, generations=3, seed=seed)
     traj = run_experiment(cfg, ConstantGame())
     assert all(sum(r.counts) == n for r in traj.records)
 
@@ -90,8 +104,9 @@ def test_extreme_scores_drive_births_and_deaths():
     # One agent vastly outscores the other: it must parent the birth while
     # the weak agent dies.
     pop = Population(("a", "b"), np.array([0, 1]), np.array([1e12, 1e-12]))
-    cfg = EvolveConfig(
-        population_size=2,
+    cfg = ExperimentConfig(
+        game="newcomb",
+        population=2,
         generations=1,
         rounds=1,
         birth_rate=0.5,
@@ -107,7 +122,7 @@ def test_extreme_scores_drive_births_and_deaths():
 
 def test_repopulate_rejects_nonpositive_scores():
     pop = Population(("a", "b"), np.array([0, 1]), np.array([5.0, 0.0]))
-    cfg = config(population_size=2, birth_rate=0.5)
+    cfg = config(population=2, birth_rate=0.5)
     with pytest.raises(NonPositiveScoreError) as exc:
         repopulate(pop, cfg, np.random.default_rng(0))
     assert "1" in str(exc.value)  # names the offending agent
@@ -115,7 +130,7 @@ def test_repopulate_rejects_nonpositive_scores():
 
 def test_repopulate_noop_when_rates_zero():
     pop = Population(("a", "b"), np.array([0, 1, 1]), np.array([0.0, 0.0, 0.0]))
-    cfg = config(population_size=3, birth_rate=0.0, mutation_rate=0.0)
+    cfg = config(population=3, birth_rate=0.0, mutation_rate=0.0)
     # Zero scores are fine when no replacement happens.
     new = repopulate(pop, cfg, np.random.default_rng(0))
     assert new.types.tolist() == [0, 1, 1]
@@ -124,7 +139,7 @@ def test_repopulate_noop_when_rates_zero():
 def test_mutation_touches_expected_count():
     # With m = 1 every agent is redrawn uniformly; types change with high
     # probability somewhere in the population.
-    cfg = config(population_size=60, birth_rate=0.0, mutation_rate=1.0, generations=1, seed=3)
+    cfg = config(population=60, birth_rate=0.0, mutation_rate=1.0, generations=1, seed=3)
     start = Population.from_shares(("a", "b", "c"), (1.0, 0.0, 0.0), 60)
     scored = Population(start.type_names, start.types, np.ones(60))
     new = repopulate(scored, cfg, np.random.default_rng(3))
@@ -164,6 +179,6 @@ def test_mean_scores_reflect_play():
 def test_selection_favors_high_scores():
     # Type c scores 3x type a; with births each generation, c's share
     # should rise over a few hundred generations.
-    cfg = config(population_size=90, generations=300, birth_rate=0.05, seed=9)
+    cfg = config(population=90, generations=300, birth_rate=0.05, seed=9)
     traj = run_experiment(cfg, ConstantGame((1.0, 2.0, 3.0)))
     assert traj.final_shares()["c"] > 0.8

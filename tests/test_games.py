@@ -43,6 +43,22 @@ def test_pd_config_validates_dilemma_ordering():
         PdConfig(cd=0)  # utilities must stay positive
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "7", True, None])
+@pytest.mark.parametrize(
+    "config, name",
+    [(PdConfig, f) for f in ("cc", "cd", "dc", "dd", "signal_accuracy")]
+    + [(NewcombConfig, f) for f in ("high", "low", "accuracy")]
+    + [(BeautyConfig, f) for f in ("fraction", "low", "high", "cap")],
+)
+def test_game_configs_reject_non_finite_and_non_numeric_fields(config, name, value):
+    with pytest.raises(ValueError, match=name):
+        config(**{name: value})
+
+
+def test_game_configs_accept_numpy_numbers():
+    assert PdConfig(cc=np.int64(7), signal_accuracy=np.float64(0.9)).cc == 7
+
+
 def test_baseline_policy_defects_except_on_fdt_signal():
     assert solve_fdt_pd_policy(BASELINE, THIRDS) == ("D", "D", "C")
 
