@@ -20,15 +20,20 @@ GAMES = {
 }
 
 # Integer fields and their least allowed value.
-_INT_FIELDS = (("population", 1), ("generations", 0), ("rounds", 0), ("seed", 0), ("snapshot_every", 1))
+_INT_FIELDS = (("population", 1), ("generations", 1), ("rounds", 0), ("seed", 0), ("snapshot_every", 1))
+
+
+def _plain(value):
+    """A numpy number as the equal Python number, which JSON can write; else ``value``."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One evolutionary run: the game, its parameters, and the loop settings.
 
-    Every field is checked on construction, so a config that exists can be
-    run. Numbers are stored as given, so the CSV header echoes the config.
+    Every field is checked on construction, so a config that exists can be run.
+    Numbers are kept as given (numpy ones as their Python value), so the CSV header echoes it.
     """
 
     game: str
@@ -43,6 +48,8 @@ class ExperimentConfig:
     snapshot_every: int = 1
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
         if not isinstance(self.game, str) or self.game not in GAMES:
             raise ValueError(f"unknown game {self.game!r}; expected one of {tuple(GAMES)}")
         for name, least in _INT_FIELDS:
@@ -60,7 +67,7 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1 when birth_rate is positive")
         if not isinstance(self.game_params, dict):
             raise ValueError(f"game_params must be an object, got {self.game_params!r}")
-        object.__setattr__(self, "game_params", dict(self.game_params))
+        object.__setattr__(self, "game_params", {k: _plain(v) for k, v in self.game_params.items()})
         self._game_config()
         shares, types = self.initial_shares, len(GAMES[self.game][0].type_names)
         if not (
@@ -73,7 +80,7 @@ class ExperimentConfig:
                 f"initial_shares must be {types} finite, nonnegative numbers that sum to 1, "
                 f"got {shares!r}"
             )
-        object.__setattr__(self, "initial_shares", tuple(shares))
+        object.__setattr__(self, "initial_shares", tuple(_plain(s) for s in shares))
 
     def _game_config(self):
         try:

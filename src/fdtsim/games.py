@@ -9,13 +9,13 @@ contest: the whole population guesses at once and is scored by inverse error.
 from __future__ import annotations
 
 import itertools
+import math
 import numbers
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import SignalModel, posterior
+from .beliefs import SignalModel, likelihood, posterior
 
 # Prisoner's Dilemma type codes; signal index i names type i.
 PD_TYPES = ("defector", "cooperator", "fdt")
@@ -37,12 +37,13 @@ class NoFixedPointError(RuntimeError):
 
 
 def _is_finite_number(value) -> bool:
-    """A real number, not a bool, that is neither NaN nor beyond the float range."""
-    return (
-        isinstance(value, numbers.Real)
-        and not isinstance(value, bool)
-        and abs(value) <= sys.float_info.max
-    )
+    """A real number, not a bool, that is neither NaN nor infinite nor beyond the float range."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float, such as 10**400
+        return False
 
 
 def _check_finite(config) -> None:
@@ -70,12 +71,6 @@ class PdConfig:
             raise ValueError("all payoffs must be positive")
         if not 0.0 <= self.signal_accuracy <= 1.0:
             raise ValueError(f"signal_accuracy must be in [0, 1], got {self.signal_accuracy}")
-
-    def payoff(self, own: str, opp: str) -> float:
-        """Row player's payoff for (own action, opponent action)."""
-        if own == "C":
-            return self.cc if opp == "C" else self.cd
-        return self.dc if opp == "C" else self.dd
 
 
 @dataclass(frozen=True)
@@ -113,20 +108,62 @@ class BeautyConfig:
 # Prisoner's Dilemma with type signals
 # ---------------------------------------------------------------------------
 
-def _signal_dist(true_type: int, p: float) -> np.ndarray:
-    """Distribution of the signal an observer receives about ``true_type``."""
-    dist = np.full(3, (1.0 - p) / 2.0)
-    dist[true_type] = p
-    return dist
+# The eight FDT policies in itertools.product("DC") order, which is also the
+# solver's tie-break order, as cooperation (D = 0, C = 1) per signal.
+_PD_POLICIES = list(itertools.product("DC", repeat=3))
+_PD_POLICY_COOP = np.array(_PD_POLICIES) == "C"
+_ACTIONS = np.array([[0], [1]])  # D, C down the rows
+# _PD_TRIALS[policy, signal, action]: the policy with that component forced to the action.
+_PD_TRIALS = np.where(
+    np.eye(3, dtype=bool)[:, None, :], _ACTIONS, _PD_POLICY_COOP[:, None, None, :]
+)
 
 
-def pd_component_eu(
-    config: PdConfig,
-    shares,
-    policy: PdPolicy,
-    signal: int,
-    action: str,
-) -> float:
+def _pd_payoff(config: PdConfig, own_coop, opp_coop):
+    """Row player's expected payoff when each side cooperates with the given probability.
+
+    At probabilities 0 and 1 this is exactly the matching entry of the payoff table.
+    """
+    return (
+        own_coop * opp_coop * config.cc
+        + own_coop * (1.0 - opp_coop) * config.cd
+        + (1.0 - own_coop) * opp_coop * config.dc
+        + (1.0 - own_coop) * (1.0 - opp_coop) * config.dd
+    )
+
+
+def _signal_matrix(model: SignalModel) -> np.ndarray:
+    """M[s, t]: probability that a signal about an agent of type t names type s."""
+    return np.array([likelihood(s, model) for s in range(3)])
+
+
+def _component_eus(config: PdConfig, shares, signals) -> np.ndarray:
+    """EU[policy, i, action] of answering ``signals[i]`` with action D (0) or C (1).
+
+    Against the posterior over the opponent's type, a Defector defects, a
+    Cooperator cooperates, and an FDT opponent answers its own signal about
+    this agent with the policy whose ``signals[i]`` component is forced to
+    the action (same function, same input, same output). Sums run left to
+    right, like the scalar oracle's, so exact ties between policies break alike.
+    """
+    model = SignalModel(config.signal_accuracy, 3)
+    post = np.array([posterior(shares, s, model) for s in signals])
+    table = _pd_payoff(config, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
+    vs_fdt = (_signal_matrix(model)[:, PD_FDT] * table[_ACTIONS, _PD_TRIALS[:, signals]]).sum(-1)
+    return post[:, :1] * table[:, 0] + post[:, 1:2] * table[:, 1] + post[:, 2:] * vs_fdt
+
+
+def _type_eus(config: PdConfig, shares: np.ndarray, coop: np.ndarray) -> np.ndarray:
+    """Per-type EUs under the FDT cooperation per signal ``coop`` (leading axes batch)."""
+    # K[..., own, opp]: probability that type ``own`` cooperates against type ``opp``.
+    k = np.zeros(coop.shape[:-1] + (3, 3))
+    k[..., PD_COOPERATOR, :] = 1.0
+    signal_matrix = _signal_matrix(SignalModel(config.signal_accuracy, 3))
+    k[..., PD_FDT, :] = (coop[..., None, :] * signal_matrix.T).sum(-1)
+    return (_pd_payoff(config, k, np.swapaxes(k, -1, -2)) * shares).sum(-1)
+
+
+def pd_component_eu(config: PdConfig, shares, policy: PdPolicy, signal: int, action: str) -> float:
     """Expected utility of answering ``signal`` with ``action``.
 
     The opponent's type is the Bayes posterior given the signal. An FDT
@@ -134,59 +171,29 @@ def pd_component_eu(
     policy, with the component under consideration forced to ``action``
     (same function, same input, same output).
     """
-    post = posterior(shares, signal, SignalModel(config.signal_accuracy, 3))
-    return _component_eu(config, post, policy, signal, action)
-
-
-def _component_eu(config: PdConfig, post, policy: PdPolicy, signal: int, action: str) -> float:
-    """``pd_component_eu`` given the posterior over the opponent's type."""
-    trial = list(policy)
-    trial[signal] = action
-    opp_signal = _signal_dist(PD_FDT, config.signal_accuracy)
-    vs_fdt = sum(opp_signal[j] * config.payoff(action, trial[j]) for j in range(3))
-    return (
-        post[PD_DEFECTOR] * config.payoff(action, "D")
-        + post[PD_COOPERATOR] * config.payoff(action, "C")
-        + post[PD_FDT] * vs_fdt
-    )
-
-
-def _is_fixed_point(config: PdConfig, posteriors, policy: PdPolicy) -> bool:
-    for s in range(3):
-        eu_c = _component_eu(config, posteriors[s], policy, s, "C")
-        eu_d = _component_eu(config, posteriors[s], policy, s, "D")
-        held = eu_c if policy[s] == "C" else eu_d
-        if held < max(eu_c, eu_d):
-            return False
-    return True
+    eus = _component_eus(config, shares, [signal])
+    return eus[_PD_POLICIES.index(tuple(policy)), 0, int(action == "C")]
 
 
 def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     """Best self-consistent signal -> action policy for the FDT type.
 
-    Enumerates all eight policies, keeps those where every component is a
-    best response given the whole policy, and returns the fixed point with
+    Scores all eight policies at once, keeps those where every component is
+    a best response given the whole policy, and returns the fixed point with
     the highest expected round utility for the FDT type. Remaining ties
     break toward defection, signal by signal.
     """
     shares = np.asarray(shares, dtype=float)
-    model = SignalModel(config.signal_accuracy, 3)
-    posteriors = [posterior(shares, s, model) for s in range(3)]
-    fixed = [
-        pol
-        for pol in itertools.product("DC", repeat=3)
-        if _is_fixed_point(config, posteriors, pol)
-    ]
-    if not fixed:
+    eus = _component_eus(config, shares, [0, 1, 2])
+    held = np.where(_PD_POLICY_COOP, eus[..., 1], eus[..., 0])
+    other = np.where(_PD_POLICY_COOP, eus[..., 0], eus[..., 1])
+    fixed = np.flatnonzero(~(held < other).any(axis=-1))
+    if not fixed.size:
         raise NoFixedPointError(
             f"no self-consistent policy for config={config} shares={shares.tolist()}"
         )
-
-    def rank(pol: PdPolicy):
-        fdt_eu = pd_expected_utilities(config, shares, pol)[PD_FDT]
-        return (-fdt_eu, pol[0] == "C", pol[1] == "C", pol[2] == "C")
-
-    return tuple(min(fixed, key=rank))
+    fdt_eu = _type_eus(config, shares, _PD_POLICY_COOP[fixed])[:, PD_FDT]
+    return _PD_POLICIES[fixed[np.argmax(fdt_eu)]]
 
 
 def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndarray:
@@ -195,38 +202,8 @@ def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndar
     Defectors and Cooperators ignore their signals; FDT agents follow the
     policy on an independent noisy signal of the opponent's true type.
     """
-    shares = np.asarray(shares, dtype=float)
-    p = config.signal_accuracy
     coop = np.array([a == "C" for a in policy], dtype=float)
-    # Probability an FDT agent cooperates given the opponent's true type.
-    fdt_coop = np.array([_signal_dist(t, p) @ coop for t in range(3)])
-
-    def vs_mixture(own_coop: float, opp_coop: float) -> float:
-        return (
-            own_coop * opp_coop * config.cc
-            + own_coop * (1.0 - opp_coop) * config.cd
-            + (1.0 - own_coop) * opp_coop * config.dc
-            + (1.0 - own_coop) * (1.0 - opp_coop) * config.dd
-        )
-
-    opp_coop_by_type = {
-        PD_DEFECTOR: 0.0,
-        PD_COOPERATOR: 1.0,
-        PD_FDT: None,  # depends on the focal agent's own type
-    }
-    eus = np.zeros(3)
-    for own in range(3):
-        own_coop_by_opp = (
-            fdt_coop if own == PD_FDT else np.full(3, 1.0 if own == PD_COOPERATOR else 0.0)
-        )
-        total = 0.0
-        for opp in range(3):
-            opp_coop = opp_coop_by_type[opp]
-            if opp_coop is None:
-                opp_coop = fdt_coop[own]
-            total += shares[opp] * vs_mixture(own_coop_by_opp[opp], opp_coop)
-        eus[own] = total
-    return eus
+    return _type_eus(config, np.asarray(shares, dtype=float), coop)
 
 
 def pd_play_many(
@@ -264,9 +241,8 @@ def pd_play_many(
     pair = 2 * cooperates(types1, types2)
     pair += cooperates(types2, types1)
     # Payoffs indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
-    side1 = np.array([config.dd, config.dc, config.cd, config.cc])
-    side2 = np.array([config.dd, config.cd, config.dc, config.cc])
-    return side1[pair], side2[pair]
+    first, second = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0])
+    return _pd_payoff(config, first, second)[pair], _pd_payoff(config, second, first)[pair]
 
 
 # ---------------------------------------------------------------------------

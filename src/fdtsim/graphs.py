@@ -105,6 +105,21 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evidence", dict(self.evidence))
+        ids = {v.id for v in self.model.variables}
+        if self.action_var not in ids:
+            raise ValueError(f"action_var {self.action_var!r} is not a variable of the model")
+        dfv = self.decision_fn_var
+        if dfv is not None and not (
+            dfv in ids
+            and self.model.domain(dfv) == self.actions
+            and dfv in self.model.cpts[self.action_var].parents
+        ):
+            raise ValueError(
+                f"decision_fn_var {dfv!r} must be a parent of action_var "
+                f"{self.action_var!r} with the same domain {self.actions}"
+            )
+        if not ids.issuperset(self.evidence):
+            raise ValueError(f"evidence names unknown variables {sorted(set(self.evidence) - ids)}")
 
     @property
     def actions(self) -> tuple[str, ...]:
@@ -223,35 +238,36 @@ def validate_model(model: CausalModel) -> list[str]:
     return diags
 
 
+def _condition(model: CausalModel, evidence: Assignment) -> tuple[list[tuple[dict, float]], float]:
+    """The joint's assignments that agree with ``evidence``, and their total weight."""
+    kept, total = [], 0.0
+    for asg, p in _joint(model):
+        if all(asg[k] == v for k, v in evidence.items()):
+            kept.append((asg, p))
+            total += p
+    if total <= 0.0:
+        raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
+    return kept, total
+
+
 def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     """Exact posterior over ``query``'s domain by full-joint enumeration."""
     domain = model.domain(query)
+    kept, total = _condition(model, evidence)
     weights = dict.fromkeys(domain, 0.0)
-    total = 0.0
-    for asg, p in _joint(model):
-        if all(asg[k] == v for k, v in evidence.items()):
-            total += p
-            weights[asg[query]] += p
-    if total <= 0.0:
-        raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
+    for asg, p in kept:
+        weights[asg[query]] += p
     return np.array([weights[label] for label in domain]) / total
 
 
 def _expected_utility(model: CausalModel, evidence: Assignment) -> float:
-    total = 0.0
+    kept, total = _condition(model, evidence)
     acc = 0.0
-    for asg, p in _joint(model):
-        if not all(asg[k] == v for k, v in evidence.items()):
-            continue
+    for asg, p in kept:
         outcome = tuple(asg[ov] for ov in model.outcome_vars)
-        try:
-            u = model.utility[outcome]
-        except KeyError:
-            raise KeyError(f"no utility entry for outcome {outcome}") from None
-        total += p
-        acc += p * u
-    if total <= 0.0:
-        raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
+        if outcome not in model.utility:
+            raise KeyError(f"no utility entry for outcome {outcome}")
+        acc += p * model.utility[outcome]
     return acc / total
 
 

@@ -4,12 +4,15 @@ These are the straightforward per-round and per-pair versions of the
 mechanics in ``fdtsim.games``. They draw the same random numbers in the
 same order and add each agent's utilities in the same order as the library
 kernels, so the tests compare the two for equal bytes and an equal final
-generator state, not just equal distributions.
+generator state, not just equal distributions. The PD analytics here (payoff
+table, component EUs, type EUs, policy solver) are scalar loops that share
+no code with the library's matrix form.
 """
 import itertools
 
 import numpy as np
 
+from fdtsim.beliefs import SignalModel, posterior
 from fdtsim.games import (
     NEWCOMB_TYPES,
     ONE_BOX,
@@ -22,14 +25,82 @@ from fdtsim.games import (
     NoFixedPointError,
     beauty_guesses,
     newcomb_decision,
-    pd_component_eu,
-    pd_expected_utilities,
 )
 
 
 # ---------------------------------------------------------------------------
 # Prisoner's Dilemma with type signals
 # ---------------------------------------------------------------------------
+
+def payoff(config, own, opp):
+    """Row player's payoff for (own action, opponent action)."""
+    if own == "C":
+        return config.cc if opp == "C" else config.cd
+    return config.dc if opp == "C" else config.dd
+
+
+def signal_dist(true_type, p):
+    """Distribution of the signal an observer receives about ``true_type``."""
+    dist = np.full(3, (1.0 - p) / 2.0)
+    dist[true_type] = p
+    return dist
+
+
+def pd_component_eu(config, shares, policy, signal, action):
+    """Expected utility of answering ``signal`` with ``action``, one payoff at a time.
+
+    ``vs_fdt`` adds left to right in an explicit loop, like the library's
+    sums; ``sum()`` would round differently from Python 3.12 on.
+    """
+    post = posterior(shares, signal, SignalModel(config.signal_accuracy, 3))
+    trial = list(policy)
+    trial[signal] = action
+    opp_signal = signal_dist(PD_FDT, config.signal_accuracy)
+    vs_fdt = 0.0
+    for j in range(3):
+        vs_fdt += opp_signal[j] * payoff(config, action, trial[j])
+    return (
+        post[PD_DEFECTOR] * payoff(config, action, "D")
+        + post[PD_COOPERATOR] * payoff(config, action, "C")
+        + post[PD_FDT] * vs_fdt
+    )
+
+
+def pd_expected_utilities(config, shares, policy):
+    """Per-type expected round utility, one (own type, opponent type) pair at a time."""
+    shares = np.asarray(shares, dtype=float)
+    p = config.signal_accuracy
+    coop = np.array([a == "C" for a in policy], dtype=float)
+    # Probability an FDT agent cooperates given the opponent's true type.
+    fdt_coop = np.array([signal_dist(t, p) @ coop for t in range(3)])
+
+    def vs_mixture(own_coop, opp_coop):
+        return (
+            own_coop * opp_coop * config.cc
+            + own_coop * (1.0 - opp_coop) * config.cd
+            + (1.0 - own_coop) * opp_coop * config.dc
+            + (1.0 - own_coop) * (1.0 - opp_coop) * config.dd
+        )
+
+    opp_coop_by_type = {
+        PD_DEFECTOR: 0.0,
+        PD_COOPERATOR: 1.0,
+        PD_FDT: None,  # depends on the focal agent's own type
+    }
+    eus = np.zeros(3)
+    for own in range(3):
+        own_coop_by_opp = (
+            fdt_coop if own == PD_FDT else np.full(3, 1.0 if own == PD_COOPERATOR else 0.0)
+        )
+        total = 0.0
+        for opp in range(3):
+            opp_coop = opp_coop_by_type[opp]
+            if opp_coop is None:
+                opp_coop = fdt_coop[own]
+            total += shares[opp] * vs_mixture(own_coop_by_opp[opp], opp_coop)
+        eus[own] = total
+    return eus
+
 
 def _fdt_round_action(opp_type, policy, p, rng):
     if rng.random() < p:
@@ -51,7 +122,7 @@ def pd_play_round(type1, type2, policy, config, rng):
 
     a1 = act(type1, type2)
     a2 = act(type2, type1)
-    return config.payoff(a1, a2), config.payoff(a2, a1)
+    return payoff(config, a1, a2), payoff(config, a2, a1)
 
 
 def pd_play_many(types1, types2, policy, config, rng):
@@ -89,7 +160,7 @@ def _is_fixed_point(config, shares, policy):
 
 
 def solve_fdt_pd_policy(config, shares):
-    """The policy solver, computing each component's posterior afresh."""
+    """The policy solver, one policy and one component at a time."""
     shares = np.asarray(shares, dtype=float)
     fixed = [
         pol

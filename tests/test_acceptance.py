@@ -34,6 +34,7 @@ from fdtsim.graphs import decide
 from fdtsim.scenarios import build
 
 import mean_field
+from oracles import payoff
 from test_games import oracle_type_eus
 
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -114,8 +115,8 @@ def test_criterion_06_policy_solver_baseline():
     for a0, a1 in itertools.product("DC", repeat=2):
         eu_c = pd_component_eu(config, THIRDS, (a0, a1, "C"), 2, "C")
         eu_d = pd_component_eu(config, THIRDS, (a0, a1, "D"), 2, "D")
-        cross_c = config.payoff("C", a0) + config.payoff("C", a1)
-        cross_d = config.payoff("D", a0) + config.payoff("D", a1)
+        cross_c = payoff(config, "C", a0) + payoff(config, "C", a1)
+        cross_d = payoff(config, "D", a0) + payoff(config, "D", a1)
         ok &= abs(eu_c - 0.045 * cross_c - 6.07) < 1e-9
         ok &= abs(eu_d - 0.045 * cross_d - 3.94) < 1e-9
     eus = pd_expected_utilities(config, THIRDS, policy)

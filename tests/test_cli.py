@@ -172,6 +172,11 @@ REPRODUCERS = {
     "rounds-0": (EVOLVE_PD + ["--rounds", "0"], None),
     "negative-seed": (EVOLVE_PD + ["--seed", "-1"], None),
     "negative-generations": (EVOLVE_PD + ["--generations", "-2"], None),
+    "zero-generations": (
+        ["evolve", "--preset", "newcomb-baseline", "--population", "100", "--rounds", "2",
+         "--generations", "0"],
+        None,
+    ),
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
     "sweep-birth-rate-2": (["sweep", "--preset", "pd-payoff-sweep", "--birth-rate", "2"], None),
     # Valid configs whose run fails: an agent that sits out every round

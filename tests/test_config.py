@@ -6,6 +6,7 @@ with a ``ValueError`` and never later, inside a run.
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -69,6 +70,7 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         (pd_dict(population=40.0), "population"),
         (pd_dict(seed=True), "seed"),
         (pd_dict(generations=-1), "generations"),
+        (pd_dict(generations=0), "generations"),
         (pd_dict(snapshot_every=0), "snapshot_every"),
         (pd_dict(mutation_rate=float("nan")), "mutation_rate"),
         (pd_dict(birth_rate=1.5), "birth_rate"),
@@ -105,6 +107,7 @@ WRONG = st.one_of(
     st.lists(st.integers(-2, 2), max_size=3),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     st.sampled_from([math.nan, math.inf, -math.inf, 10**400]),
+    st.sampled_from([np.int64(7), np.float32(0.1), np.float32("inf")]),
     st.floats(allow_nan=False, allow_infinity=False),
     st.integers(-(2**70), 2**70),
     st.integers(-3, 3),
@@ -141,6 +144,11 @@ def config_dicts(draw):
 @given(data=st.one_of(config_dicts(), WRONG))
 @example(data=VALID["pd"])
 @example(data=pd_dict(initial_shares=[1, 0, 0], game_params={"signal_accuracy": 1}))
+@example(data=pd_dict(
+    mutation_rate=np.float32(0.1),
+    initial_shares=[np.float32(0.5), 0.25, 0.25],
+    game_params=dict(VALID["pd"]["game_params"], cc=np.int64(7)),
+))
 @settings(max_examples=400, deadline=None)
 def test_from_dict_raises_value_error_or_round_trips(data):
     try:

@@ -28,7 +28,7 @@ from fdtsim.games import (
     solve_fdt_pd_policy,
 )
 
-from oracles import pd_play_round
+from oracles import payoff, pd_play_round, signal_dist
 
 BASELINE = PdConfig()
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -43,7 +43,9 @@ def test_pd_config_validates_dilemma_ordering():
         PdConfig(cd=0)  # utilities must stay positive
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), "7", True, None])
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), -float("inf"), np.float32("inf"), "7", True, None]
+)
 @pytest.mark.parametrize(
     "config, name",
     [(PdConfig, f) for f in ("cc", "cd", "dc", "dd", "signal_accuracy")]
@@ -55,8 +57,10 @@ def test_game_configs_reject_non_finite_and_non_numeric_fields(config, name, val
         config(**{name: value})
 
 
+@pytest.mark.filterwarnings("error")
 def test_game_configs_accept_numpy_numbers():
     assert PdConfig(cc=np.int64(7), signal_accuracy=np.float64(0.9)).cc == 7
+    assert PdConfig(signal_accuracy=np.float32(0.5)).signal_accuracy == 0.5
 
 
 def test_baseline_policy_defects_except_on_fdt_signal():
@@ -73,12 +77,6 @@ def test_baseline_type_eus():
     assert eus[PD_DEFECTOR] == pytest.approx(6.1, abs=1e-12)
     assert eus[PD_COOPERATOR] == pytest.approx(3.1, abs=1e-12)
     assert eus[PD_FDT] == pytest.approx(6.8, abs=1e-12)
-
-
-def signal_dist(true_type, p):
-    d = np.full(3, (1 - p) / 2)
-    d[true_type] = p
-    return d
 
 
 def oracle_type_eus(config, shares, policy):
@@ -112,15 +110,22 @@ def oracle_type_eus(config, shares, policy):
     return np.array(eus)
 
 
-@given(seed=st.integers(0, 10_000))
-@settings(max_examples=50)
-def test_type_eus_match_enumeration_oracle(seed):
+@given(
+    seed=st.integers(0, 10_000),
+    accuracy=st.sampled_from([0.0, 1 / 3, 1.0]) | st.floats(0.0, 1.0),
+    extinct=st.sampled_from([None, PD_DEFECTOR, PD_COOPERATOR, PD_FDT]),
+)
+@settings(max_examples=100)
+def test_type_eus_match_enumeration_oracle(seed, accuracy, extinct):
     rng = np.random.default_rng(seed)
     dc, cc, dd, cd = sorted(rng.integers(1, 1001, size=4))[::-1]
     if not dc > cc > dd > cd:
         cc, dd, cd, dc = 7, 4, 1, 10
-    config = PdConfig(cc=cc, cd=cd, dc=dc, dd=dd, signal_accuracy=rng.uniform(0.34, 0.99))
+    config = PdConfig(cc=cc, cd=cd, dc=dc, dd=dd, signal_accuracy=accuracy)
     shares = rng.dirichlet(np.ones(3))
+    if extinct is not None:
+        shares[extinct] = 0.0
+        shares /= shares.sum()
     policy = tuple(rng.choice(["C", "D"], size=3))
     got = pd_expected_utilities(config, shares, policy)
     assert got == pytest.approx(oracle_type_eus(config, shares, policy), abs=1e-9)
@@ -132,12 +137,12 @@ def test_component_eu_affine_structure():
     for a0, a1 in itertools.product("DC", repeat=2):
         pol_c = (a0, a1, "C")
         eu_c = pd_component_eu(BASELINE, THIRDS, pol_c, 2, "C")
-        cross = BASELINE.payoff("C", a0) + BASELINE.payoff("C", a1)
+        cross = payoff(BASELINE, "C", a0) + payoff(BASELINE, "C", a1)
         assert eu_c - 0.045 * cross == pytest.approx(6.07, abs=1e-9)
 
         pol_d = (a0, a1, "D")
         eu_d = pd_component_eu(BASELINE, THIRDS, pol_d, 2, "D")
-        cross = BASELINE.payoff("D", a0) + BASELINE.payoff("D", a1)
+        cross = payoff(BASELINE, "D", a0) + payoff(BASELINE, "D", a1)
         assert eu_d - 0.045 * cross == pytest.approx(3.94, abs=1e-9)
 
 

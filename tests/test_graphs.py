@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -16,6 +18,7 @@ from fdtsim.graphs import (
     infer,
     validate_model,
 )
+from fdtsim.scenarios import build
 
 BOOL = ("yes", "no")
 
@@ -94,6 +97,23 @@ def test_infer_rejects_zero_probability_evidence():
 
 def make_problem(model, **kwargs):
     return DecisionProblem(model=model, action_var="A", **kwargs)
+
+
+@pytest.mark.parametrize(
+    "scenario, changes, field",
+    [
+        # Shares the action's domain but is not its parent.
+        ("newcomb", dict(decision_fn_var="Prediction"), "decision_fn_var"),
+        # A parent of the action with another domain.
+        ("parfit", dict(decision_fn_var="Driver"), "decision_fn_var"),
+        ("newcomb", dict(decision_fn_var="Decison"), "decision_fn_var"),
+        ("newcomb", dict(evidence={"Predicton": "one-box"}), "evidence"),
+        ("newcomb", dict(action_var="Choice"), "action_var"),
+    ],
+)
+def test_decision_problem_rejects_broken_invariants(scenario, changes, field):
+    with pytest.raises(ValueError, match=field):
+        replace(build(scenario), **changes)
 
 
 def test_edt_equals_cdt_for_root_action():

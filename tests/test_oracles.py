@@ -1,4 +1,4 @@
-"""The game adapters and the policy solver against their oracles in ``oracles``.
+"""The game adapters, the policy solver and the component EUs against ``oracles``.
 
 The library kernels only reorganise the work around the random draws, so
 each must return the same bytes and leave the generator in the same state
@@ -6,6 +6,7 @@ as its reference version, for every population, round count and
 parameter set, including odd populations, extinct types, a single Random
 agent and perfect or useless signals.
 """
+import itertools
 from functools import partial
 
 import numpy as np
@@ -23,6 +24,7 @@ from fdtsim.games import (
     PdConfig,
     PdGame,
     newcomb_play_many,
+    pd_component_eu,
     solve_fdt_pd_policy,
 )
 
@@ -118,9 +120,10 @@ def test_newcomb_play_many_matches_scalar_rounds(config, types, seed):
     assert rng_many.bit_generator.state == rng_scalar.bit_generator.state
 
 
-def solver_outcome(solve, config, shares):
+def solver_outcome(solve, *args):
+    """The result, or the type of the solver error raised."""
     try:
-        return solve(config, shares)
+        return solve(*args)
     except SOLVER_ERRORS as exc:
         return type(exc)
 
@@ -128,14 +131,42 @@ def solver_outcome(solve, config, shares):
 share_weights = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=3, max_size=3)
 
 
+def normalized(weights):
+    total = sum(weights)
+    return [w / total for w in weights] if total > 0 else [1.0, 0.0, 0.0]
+
+
 @given(pd_configs(), share_weights)
 @settings(max_examples=300)
 @example(PdConfig(signal_accuracy=1.0), [0.5, 0.5, 0.0])
 @example(PdConfig(signal_accuracy=0.0), [0.0, 0.0, 1.0])
 @example(PdConfig(signal_accuracy=0.0), [1.0, 0.0, 0.0])
+# Uninformative signals: policies with equally many C's have equal FDT EUs in
+# exact arithmetic, so these pin the choice that rounding makes.
+@example(PdConfig(signal_accuracy=1 / 3), [1.0, 1.0, 1.0])
+@example(PdConfig(signal_accuracy=1 / 3), [0.2, 0.3, 0.5])
+@example(PdConfig(signal_accuracy=1 / 3), [0.0, 0.4, 0.6])
 def test_solver_matches_oracle(config, weights):
-    total = sum(weights)
-    shares = [w / total for w in weights] if total > 0 else [1.0, 0.0, 0.0]
+    shares = normalized(weights)
     assert solver_outcome(solve_fdt_pd_policy, config, shares) == solver_outcome(
         oracles.solve_fdt_pd_policy, config, shares
     )
+
+
+@given(pd_configs(), share_weights)
+@settings(max_examples=200)
+@example(PdConfig(signal_accuracy=1 / 3), [1.0, 1.0, 1.0])
+@example(PdConfig(signal_accuracy=1.0), [0.5, 0.5, 0.0])  # signal 2 is unreachable
+@example(PdConfig(signal_accuracy=0.0), [0.0, 0.0, 1.0])  # signal 2 is unreachable
+def test_component_eu_matches_oracle(config, weights):
+    shares = normalized(weights)
+    for policy in itertools.product("DC", repeat=3):
+        for signal in range(3):
+            for action in "DC":
+                args = (config, shares, policy, signal, action)
+                got = solver_outcome(pd_component_eu, *args)
+                want = solver_outcome(oracles.pd_component_eu, *args)
+                if isinstance(want, type):
+                    assert got is want
+                else:
+                    assert abs(got - want) <= 1e-12
