@@ -15,7 +15,7 @@ from .graphs import (
     infer,
     validate_model,
 )
-from .scenarios import SCENARIO_IDS, ScenarioParams, build, build_scenario
+from .scenarios import SCENARIO_IDS, build
 
 __all__ = [
     "CausalModel",
@@ -23,10 +23,8 @@ __all__ = [
     "DecisionProblem",
     "EvaluationReport",
     "SCENARIO_IDS",
-    "ScenarioParams",
     "Variable",
     "build",
-    "build_scenario",
     "decide",
     "evaluate_cdt",
     "evaluate_edt",

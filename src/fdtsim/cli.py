@@ -84,7 +84,10 @@ def _scenario_overrides(extras: list[str]) -> dict[str, float]:
         flag = extras[i]
         if not flag.startswith("--") or i + 1 >= len(extras):
             raise ScenarioError(f"unrecognized argument {flag!r}")
-        overrides[flag[2:].replace("-", "_")] = float(extras[i + 1])
+        name = flag[2:].replace("-", "_")
+        if name in overrides:
+            raise ScenarioError(f"parameter {name!r} given more than once")
+        overrides[name] = float(extras[i + 1])
         i += 2
     return overrides
 
@@ -94,7 +97,7 @@ def _cmd_scenario(args: argparse.Namespace, extras: list[str]) -> int:
         overrides = _scenario_overrides(extras)
         problem = build(args.scenario, **overrides)
         report = decide(problem, args.theory)
-    except (ScenarioError, ValueError) as exc:
+    except ValueError as exc:
         return _error(exc)
     print(f"scenario: {args.scenario}")
     print(f"theory: {args.theory}")

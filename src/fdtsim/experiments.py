@@ -23,9 +23,12 @@ GAMES = {
 _INT_FIELDS = (("population", 1), ("generations", 1), ("rounds", 0), ("seed", 0), ("snapshot_every", 1))
 
 
-def _plain(value):
+def _plain(value, name: str):
     """A numpy number as the equal Python number, which JSON can write; else ``value``."""
-    return value.item() if isinstance(value, np.generic) else value
+    plain = value.item() if isinstance(value, np.generic) else value
+    if isinstance(plain, np.generic):  # np.longdouble: no Python number holds it
+        raise ValueError(f"{name} must be a Python or float64 number, got a {type(plain).__name__}")
+    return plain
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            object.__setattr__(self, f.name, _plain(getattr(self, f.name)))
+            object.__setattr__(self, f.name, _plain(getattr(self, f.name), f.name))
         if not isinstance(self.game, str) or self.game not in GAMES:
             raise ValueError(f"unknown game {self.game!r}; expected one of {tuple(GAMES)}")
         for name, least in _INT_FIELDS:
@@ -67,7 +70,8 @@ class ExperimentConfig:
             raise ValueError("rounds must be >= 1 when birth_rate is positive")
         if not isinstance(self.game_params, dict):
             raise ValueError(f"game_params must be an object, got {self.game_params!r}")
-        object.__setattr__(self, "game_params", {k: _plain(v) for k, v in self.game_params.items()})
+        params = {k: _plain(v, f"game_params[{k!r}]") for k, v in self.game_params.items()}
+        object.__setattr__(self, "game_params", params)
         self._game_config()
         shares, types = self.initial_shares, len(GAMES[self.game][0].type_names)
         if not (
@@ -80,7 +84,7 @@ class ExperimentConfig:
                 f"initial_shares must be {types} finite, nonnegative numbers that sum to 1, "
                 f"got {shares!r}"
             )
-        object.__setattr__(self, "initial_shares", tuple(_plain(s) for s in shares))
+        object.__setattr__(self, "initial_shares", tuple(_plain(s, "initial_shares") for s in shares))
 
     def _game_config(self):
         try:

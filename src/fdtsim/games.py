@@ -38,6 +38,8 @@ class NoFixedPointError(RuntimeError):
 
 def _is_finite_number(value) -> bool:
     """A real number, not a bool, that is neither NaN nor infinite nor beyond the float range."""
+    if type(value) is float:  # the common case, without the slow abstract-class check below
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:

@@ -118,8 +118,7 @@ class DecisionProblem:
                 f"decision_fn_var {dfv!r} must be a parent of action_var "
                 f"{self.action_var!r} with the same domain {self.actions}"
             )
-        if not ids.issuperset(self.evidence):
-            raise ValueError(f"evidence names unknown variables {sorted(set(self.evidence) - ids)}")
+        _check_evidence(self.model, self.evidence)
 
     @property
     def actions(self) -> tuple[str, ...]:
@@ -135,6 +134,16 @@ class EvaluationReport:
 
     expected_utility: Mapping[str, float]
     chosen: str
+
+
+def _check_evidence(model: CausalModel, evidence: Assignment) -> None:
+    """Raise ValueError unless each evidence entry is a variable of ``model`` and a label of its domain."""
+    for var, label in evidence.items():
+        domain = next((v.domain for v in model.variables if v.id == var), None)
+        if domain is None:
+            raise ValueError(f"evidence names unknown variable {var!r}")
+        if label not in domain:
+            raise ValueError(f"evidence label {label!r} is not in the domain {domain} of {var!r}")
 
 
 def _point_mass(domain: tuple[str, ...], value: str) -> tuple[float, ...]:
@@ -252,6 +261,9 @@ def _condition(model: CausalModel, evidence: Assignment) -> tuple[list[tuple[dic
 
 def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     """Exact posterior over ``query``'s domain by full-joint enumeration."""
+    _check_evidence(model, evidence)
+    if all(v.id != query for v in model.variables):
+        raise ValueError(f"query names unknown variable {query!r}")
     domain = model.domain(query)
     kept, total = _condition(model, evidence)
     weights = dict.fromkeys(domain, 0.0)

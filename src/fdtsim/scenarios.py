@@ -1,275 +1,170 @@
-"""Builders for the worked one-shot decision problems.
+"""The worked one-shot decision problems, as one table.
 
-Each builder returns a ready-to-evaluate DecisionProblem with the canonical
-numbers as defaults; any numeric default can be overridden by name.
+Each row of ``_SCENARIOS`` holds everything about one problem: its default
+parameters and which of them are probabilities, any extra check, its nodes,
+its outcome variables and utilities, and its action and decision-function
+variables. ``build`` turns a row into a DecisionProblem, so adding a
+scenario means adding one row.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Mapping
+import itertools
+from typing import Callable, NamedTuple
 
+from .games import _is_finite_number
 from .graphs import CausalModel, Cpt, DecisionProblem, Variable
-
-SCENARIO_IDS = ("smoking-edt", "smoking-cdt", "newcomb", "parfit", "twin-pd")
 
 
 class ScenarioError(ValueError):
     """Unknown scenario id or invalid parameter override."""
 
 
-@dataclass(frozen=True)
-class ScenarioParams:
-    scenario: str
-    overrides: Mapping[str, float] = field(default_factory=dict)
+class _Scenario(NamedTuple):
+    defaults: dict[str, float]
+    probabilities: tuple[str, ...]
+    # Each node is (name, domain, parents, P(first label) for each parent row
+    # in itertools.product order); every domain has two labels.
+    nodes: Callable[[dict], tuple]
+    outcomes: tuple[str, ...]
+    utility: Callable[[dict], tuple]  # one value per outcome row, in product order
+    action: str
+    decision_fn: str | None = None
+    check: Callable[[dict], str] = lambda v: ""  # what is wrong with the values, if anything
 
 
-_DEFAULTS: dict[str, dict[str, float]] = {
-    "smoking-edt": {
-        "smoke_prior": 0.5,
-        "gene_given_smoke": 0.75,
-        "gene_given_no_smoke": 0.10,
-        "cancer_given_gene": 0.8,
-        "cancer_given_no_gene": 0.2,
-        "smoke_utility": 5.0,
-        "cancer_utility": -100.0,
-    },
-    "smoking-cdt": {
-        "gene_prior": 0.5,
-        "cancer_given_gene": 0.8,
-        "cancer_given_no_gene": 0.2,
-        "smoke_utility": 5.0,
-        "cancer_utility": -100.0,
-    },
-    "newcomb": {
-        "accuracy": 0.99,
-        "big_box": 1_000_000.0,
-        "small_box": 1_000.0,
-        "two_box_prior": 0.5,
-    },
-    "parfit": {
-        "accuracy": 0.7,
-        "payment": 1_000.0,
-        "stranded_utility": -1_000_000.0,
-        "refuse_prior": 0.5,
-    },
-    "twin-pd": {
-        "rho": 1.0,
-        "cc": 7.0,
-        "cd": 1.0,
-        "dc": 10.0,
-        "dd": 4.0,
-    },
+_SMOKE, _GENE, _CANCER = ("smoke", "not-smoke"), ("gene", "no-gene"), ("cancer", "no-cancer")
+_BOXES, _PAY = ("one-box", "two-box"), ("pay", "refuse")
+
+
+def _smoking_utility(v: dict) -> tuple:
+    smoke, cancer = v["smoke_utility"], v["cancer_utility"]
+    return smoke + cancer, smoke, cancer, 0.0
+
+
+_SCENARIOS = {
+    "smoking-edt": _Scenario(
+        defaults=dict(smoke_prior=0.5, gene_given_smoke=0.75, gene_given_no_smoke=0.10,
+                      cancer_given_gene=0.8, cancer_given_no_gene=0.2,
+                      smoke_utility=5.0, cancer_utility=-100.0),
+        probabilities=("smoke_prior", "gene_given_smoke", "gene_given_no_smoke",
+                       "cancer_given_gene", "cancer_given_no_gene"),
+        nodes=lambda v: (
+            ("Smoke", _SMOKE, (), (v["smoke_prior"],)),
+            ("Gene", _GENE, ("Smoke",), (v["gene_given_smoke"], v["gene_given_no_smoke"])),
+            ("Cancer", _CANCER, ("Gene",), (v["cancer_given_gene"], v["cancer_given_no_gene"])),
+        ),
+        outcomes=("Smoke", "Cancer"),
+        utility=_smoking_utility,
+        action="Smoke",
+    ),
+    "smoking-cdt": _Scenario(
+        defaults=dict(gene_prior=0.5, cancer_given_gene=0.8, cancer_given_no_gene=0.2,
+                      smoke_utility=5.0, cancer_utility=-100.0),
+        probabilities=("gene_prior", "cancer_given_gene", "cancer_given_no_gene"),
+        nodes=lambda v: (
+            ("Gene", _GENE, (), (v["gene_prior"],)),
+            ("Decision", _SMOKE, (), (0.5,)),
+            ("Smoke", _SMOKE, ("Gene", "Decision"), (1.0, 0.0, 1.0, 0.0)),
+            ("Cancer", _CANCER, ("Gene",), (v["cancer_given_gene"], v["cancer_given_no_gene"])),
+        ),
+        outcomes=("Smoke", "Cancer"),
+        utility=_smoking_utility,
+        action="Smoke",
+        decision_fn="Decision",
+    ),
+    "newcomb": _Scenario(
+        defaults=dict(accuracy=0.99, big_box=1_000_000.0, small_box=1_000.0, two_box_prior=0.5),
+        probabilities=("accuracy", "two_box_prior"),
+        nodes=lambda v: (
+            ("Decision", _BOXES, (), (1.0 - v["two_box_prior"],)),
+            ("Action", _BOXES, ("Decision",), (1.0, 0.0)),
+            ("Prediction", _BOXES, ("Decision",), (v["accuracy"], 1.0 - v["accuracy"])),
+        ),
+        outcomes=("Action", "Prediction"),
+        utility=lambda v: (v["big_box"], 0.0, v["big_box"] + v["small_box"], v["small_box"]),
+        action="Action",
+        decision_fn="Decision",
+    ),
+    "parfit": _Scenario(
+        defaults=dict(accuracy=0.7, payment=1_000.0, stranded_utility=-1_000_000.0, refuse_prior=0.5),
+        probabilities=("accuracy", "refuse_prior"),
+        nodes=lambda v: (
+            ("Decision", _PAY, (), (1.0 - v["refuse_prior"],)),
+            ("Driver", ("drive", "leave"), ("Decision",), (v["accuracy"], 1.0 - v["accuracy"])),
+            ("Pay", _PAY, ("Decision", "Driver"), (1.0, 1.0, 0.0, 0.0)),
+        ),
+        outcomes=("Pay", "Driver"),
+        utility=lambda v: (-v["payment"], v["stranded_utility"], 0.0, v["stranded_utility"]),
+        action="Pay",
+        decision_fn="Decision",
+    ),
+    "twin-pd": _Scenario(
+        defaults=dict(rho=1.0, cc=7.0, cd=1.0, dc=10.0, dd=4.0),
+        probabilities=("rho",),
+        nodes=lambda v: (
+            ("Decision", ("C", "D"), (), (0.5,)),
+            ("A1", ("C", "D"), ("Decision",), (1.0, 0.0)),
+            # The twin copies the shared function's output with probability rho,
+            # otherwise plays the opposite action.
+            ("A2", ("C", "D"), ("Decision",), (v["rho"], 1.0 - v["rho"])),
+        ),
+        outcomes=("A1", "A2"),
+        utility=lambda v: (v["cc"], v["cd"], v["dc"], v["dd"]),
+        action="A1",
+        decision_fn="Decision",
+        check=lambda v: "" if v["dc"] > v["cc"] > v["dd"] > v["cd"] else (
+            "payoffs must satisfy DC > CC > DD > CD, got "
+            f"DC={v['dc']} CC={v['cc']} DD={v['dd']} CD={v['cd']}"
+        ),
+    ),
 }
 
-_PROBABILITY_PARAMS = {
-    "smoke_prior",
-    "gene_given_smoke",
-    "gene_given_no_smoke",
-    "cancer_given_gene",
-    "cancer_given_no_gene",
-    "gene_prior",
-    "accuracy",
-    "two_box_prior",
-    "refuse_prior",
-    "rho",
-}
+SCENARIO_IDS = tuple(_SCENARIOS)
 
 
-def scenario_defaults(scenario: str) -> dict[str, float]:
+def _layout(row: _Scenario) -> tuple:
+    """The variables, each node's parent rows and the outcome rows, in product order."""
+    nodes = row.nodes(row.defaults)
+    domains = {name: domain for name, domain, _, _ in nodes}
+
+    def rows(parents):
+        return tuple(itertools.product(*map(domains.get, parents)))
+
+    variables = tuple(itertools.starmap(Variable, domains.items()))
+    return variables, tuple(rows(parents) for _, _, parents, _ in nodes), rows(row.outcomes)
+
+
+# None of the layout depends on the parameter values, so it is made once per scenario.
+_LAYOUTS = {scenario: _layout(row) for scenario, row in _SCENARIOS.items()}
+
+
+def build(scenario: str, **overrides: float) -> DecisionProblem:
+    """The decision problem ``scenario``, with any of its default parameters overridden by name."""
     try:
-        return dict(_DEFAULTS[scenario])
+        row = _SCENARIOS[scenario]
     except KeyError:
         raise ScenarioError(
             f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}"
         ) from None
-
-
-def _resolve_params(params: ScenarioParams) -> dict[str, float]:
-    values = scenario_defaults(params.scenario)
-    for name, value in params.overrides.items():
-        if name not in values:
+    v = dict(row.defaults)
+    for name, value in overrides.items():
+        if name not in v:
             raise ScenarioError(
-                f"scenario {params.scenario!r} has no parameter {name!r}; "
-                f"valid names: {sorted(values)}"
+                f"scenario {scenario!r} has no parameter {name!r}; valid names: {sorted(v)}"
             )
-        values[name] = float(value)
-    for name in values:
-        if not math.isfinite(values[name]):
-            raise ScenarioError(f"parameter {name!r} must be finite, got {values[name]}")
-        if name in _PROBABILITY_PARAMS and not 0.0 <= values[name] <= 1.0:
-            raise ScenarioError(f"parameter {name!r} must be a probability, got {values[name]}")
-    if params.scenario == "twin-pd":
-        v = values
-        if not (v["dc"] > v["cc"] > v["dd"] > v["cd"]):
-            raise ScenarioError(
-                "twin-pd payoffs must satisfy DC > CC > DD > CD, got "
-                f"DC={v['dc']} CC={v['cc']} DD={v['dd']} CD={v['cd']}"
-            )
-    return values
-
-
-def _binary_cpt(child, parents, p_first_by_row):
-    """CPT for a two-valued child: p_first_by_row maps row key -> P(first label)."""
-    return Cpt(child, parents, {k: (p, 1.0 - p) for k, p in p_first_by_row.items()})
-
-
-def _smoking_edt(v: dict[str, float]) -> DecisionProblem:
-    variables = (
-        Variable("Smoke", ("smoke", "not-smoke")),
-        Variable("Gene", ("gene", "no-gene")),
-        Variable("Cancer", ("cancer", "no-cancer")),
-    )
+        if not _is_finite_number(value):
+            raise ScenarioError(f"parameter {name!r} must be a finite number, got {value!r}")
+        v[name] = float(value)
+    for name in row.probabilities:
+        if not 0.0 <= v[name] <= 1.0:
+            raise ScenarioError(f"parameter {name!r} must be a probability, got {v[name]}")
+    if problem := row.check(v):
+        raise ScenarioError(f"{scenario} {problem}")
+    variables, node_rows, outcome_rows = _LAYOUTS[scenario]
     cpts = {
-        "Smoke": _binary_cpt("Smoke", (), {(): v["smoke_prior"]}),
-        "Gene": _binary_cpt(
-            "Gene",
-            ("Smoke",),
-            {("smoke",): v["gene_given_smoke"], ("not-smoke",): v["gene_given_no_smoke"]},
-        ),
-        "Cancer": _binary_cpt(
-            "Cancer",
-            ("Gene",),
-            {("gene",): v["cancer_given_gene"], ("no-gene",): v["cancer_given_no_gene"]},
-        ),
+        name: Cpt(name, parents, {k: (p, 1.0 - p) for k, p in zip(keys, firsts, strict=True)})
+        for (name, _, parents, firsts), keys in zip(row.nodes(v), node_rows)
     }
-    utility = {
-        (s, c): v["smoke_utility"] * (s == "smoke") + v["cancer_utility"] * (c == "cancer")
-        for s in ("smoke", "not-smoke")
-        for c in ("cancer", "no-cancer")
-    }
-    model = CausalModel(variables, cpts, ("Smoke", "Cancer"), utility)
-    return DecisionProblem(model, action_var="Smoke")
-
-
-def _smoking_cdt(v: dict[str, float]) -> DecisionProblem:
-    actions = ("smoke", "not-smoke")
-    variables = (
-        Variable("Gene", ("gene", "no-gene")),
-        Variable("Decision", actions),
-        Variable("Smoke", actions),
-        Variable("Cancer", ("cancer", "no-cancer")),
-    )
-    smoke_rows = {
-        (g, d): (1.0 if d == "smoke" else 0.0)
-        for g in ("gene", "no-gene")
-        for d in actions
-    }
-    cpts = {
-        "Gene": _binary_cpt("Gene", (), {(): v["gene_prior"]}),
-        "Decision": _binary_cpt("Decision", (), {(): 0.5}),
-        "Smoke": _binary_cpt("Smoke", ("Gene", "Decision"), smoke_rows),
-        "Cancer": _binary_cpt(
-            "Cancer",
-            ("Gene",),
-            {("gene",): v["cancer_given_gene"], ("no-gene",): v["cancer_given_no_gene"]},
-        ),
-    }
-    utility = {
-        (s, c): v["smoke_utility"] * (s == "smoke") + v["cancer_utility"] * (c == "cancer")
-        for s in actions
-        for c in ("cancer", "no-cancer")
-    }
-    model = CausalModel(variables, cpts, ("Smoke", "Cancer"), utility)
-    return DecisionProblem(model, action_var="Smoke", decision_fn_var="Decision")
-
-
-def _newcomb(v: dict[str, float]) -> DecisionProblem:
-    actions = ("one-box", "two-box")
-    p = v["accuracy"]
-    variables = (
-        Variable("Decision", actions),
-        Variable("Action", actions),
-        Variable("Prediction", actions),
-    )
-    cpts = {
-        "Decision": _binary_cpt("Decision", (), {(): 1.0 - v["two_box_prior"]}),
-        "Action": _binary_cpt(
-            "Action", ("Decision",), {("one-box",): 1.0, ("two-box",): 0.0}
-        ),
-        "Prediction": _binary_cpt(
-            "Prediction", ("Decision",), {("one-box",): p, ("two-box",): 1.0 - p}
-        ),
-    }
-    big, small = v["big_box"], v["small_box"]
-    utility = {
-        ("one-box", "one-box"): big,
-        ("one-box", "two-box"): 0.0,
-        ("two-box", "one-box"): big + small,
-        ("two-box", "two-box"): small,
-    }
-    model = CausalModel(variables, cpts, ("Action", "Prediction"), utility)
-    return DecisionProblem(model, action_var="Action", decision_fn_var="Decision")
-
-
-def _parfit(v: dict[str, float]) -> DecisionProblem:
-    actions = ("pay", "refuse")
-    p = v["accuracy"]
-    variables = (
-        Variable("Decision", actions),
-        Variable("Driver", ("drive", "leave")),
-        Variable("Pay", actions),
-    )
-    pay_rows = {
-        (d, dr): (1.0 if d == "pay" else 0.0)
-        for d in actions
-        for dr in ("drive", "leave")
-    }
-    cpts = {
-        "Decision": _binary_cpt("Decision", (), {(): 1.0 - v["refuse_prior"]}),
-        "Driver": _binary_cpt("Driver", ("Decision",), {("pay",): p, ("refuse",): 1.0 - p}),
-        "Pay": _binary_cpt("Pay", ("Decision", "Driver"), pay_rows),
-    }
-    utility = {
-        ("pay", "drive"): -v["payment"],
-        ("refuse", "drive"): 0.0,
-        ("pay", "leave"): v["stranded_utility"],
-        ("refuse", "leave"): v["stranded_utility"],
-    }
-    model = CausalModel(variables, cpts, ("Pay", "Driver"), utility)
-    return DecisionProblem(model, action_var="Pay", decision_fn_var="Decision")
-
-
-def _twin_pd(v: dict[str, float]) -> DecisionProblem:
-    actions = ("C", "D")
-    rho = v["rho"]
-    variables = (
-        Variable("Decision", actions),
-        Variable("A1", actions),
-        Variable("A2", actions),
-    )
-    cpts = {
-        "Decision": _binary_cpt("Decision", (), {(): 0.5}),
-        "A1": _binary_cpt("A1", ("Decision",), {("C",): 1.0, ("D",): 0.0}),
-        # The twin copies the shared function's output with probability rho,
-        # otherwise plays the opposite action.
-        "A2": _binary_cpt("A2", ("Decision",), {("C",): rho, ("D",): 1.0 - rho}),
-    }
-    utility = {
-        ("C", "C"): v["cc"],
-        ("C", "D"): v["cd"],
-        ("D", "C"): v["dc"],
-        ("D", "D"): v["dd"],
-    }
-    model = CausalModel(variables, cpts, ("A1", "A2"), utility)
-    return DecisionProblem(model, action_var="A1", decision_fn_var="Decision")
-
-
-_BUILDERS = {
-    "smoking-edt": _smoking_edt,
-    "smoking-cdt": _smoking_cdt,
-    "newcomb": _newcomb,
-    "parfit": _parfit,
-    "twin-pd": _twin_pd,
-}
-
-
-def build_scenario(params: ScenarioParams) -> DecisionProblem:
-    """Build the decision problem named by ``params.scenario``."""
-    values = _resolve_params(params)
-    return _BUILDERS[params.scenario](values)
-
-
-def build(scenario: str, **overrides: float) -> DecisionProblem:
-    """Convenience wrapper around :func:`build_scenario`."""
-    return build_scenario(ScenarioParams(scenario, overrides))
+    utility = dict(zip(outcome_rows, row.utility(v), strict=True))
+    model = CausalModel(variables, cpts, row.outcomes, utility)
+    return DecisionProblem(model, row.action, row.decision_fn)

@@ -250,3 +250,75 @@ def beauty_play_generation(config, types, rounds, rng):
     for _ in range(rounds):
         scores += beauty_play_round(types, config, rng)
     return scores
+
+
+# ---------------------------------------------------------------------------
+# One-shot scenarios
+# ---------------------------------------------------------------------------
+
+# Every (scenario, theory) pair with an answer; smoking-edt has no decision-function node.
+ONESHOT_PAIRS = tuple(
+    (scenario, theory)
+    for scenario in ("smoking-edt", "smoking-cdt", "newcomb", "parfit", "twin-pd")
+    for theory in ("edt", "cdt", "fdt")
+    if (scenario, theory) != ("smoking-edt", "fdt")
+)
+
+
+def scenario_params(scenario, uniform):
+    """Overrides for every parameter of ``scenario``, each drawn by ``uniform(low, high)``.
+
+    Priors stay inside (0, 1), so every action EDT conditions on has positive
+    probability; the other probabilities may take either end. Twin-PD payoffs
+    keep DC > CC > DD > CD.
+    """
+    prob = lambda: uniform(0.0, 1.0)
+    prior = lambda: uniform(0.01, 0.99)
+    if scenario in ("smoking-edt", "smoking-cdt"):
+        smoke = dict(smoke_prior=prior(), gene_given_smoke=prob(), gene_given_no_smoke=prob())
+        return dict(
+            smoke if scenario == "smoking-edt" else dict(gene_prior=prob()),
+            cancer_given_gene=prob(), cancer_given_no_gene=prob(),
+            smoke_utility=uniform(-20.0, 20.0), cancer_utility=uniform(-500.0, 0.0),
+        )
+    if scenario == "newcomb":
+        return dict(accuracy=prob(), big_box=uniform(0.0, 1e7), small_box=uniform(0.0, 1e4),
+                    two_box_prior=prior())
+    if scenario == "parfit":
+        return dict(accuracy=prob(), payment=uniform(0.0, 1e4), stranded_utility=uniform(-1e7, 0.0),
+                    refuse_prior=prior())
+    cd = uniform(-10.0, 10.0)
+    dd = cd + uniform(0.1, 10.0)
+    cc = dd + uniform(0.1, 10.0)
+    return dict(rho=prob(), cd=cd, dd=dd, cc=cc, dc=cc + uniform(0.1, 10.0))
+
+
+def scenario_closed_form(scenario, theory, v):
+    """Expected utility of each action, in domain order, derived by hand from the scenario's graph."""
+    if scenario in ("smoking-edt", "smoking-cdt"):
+        # smoking-edt: Smoke -> Gene -> Cancer, so both theories move the gene with the choice.
+        # smoking-cdt: Smoke copies a Decision that the gene does not touch.
+        def cancer(gene):
+            return gene * v["cancer_given_gene"] + (1.0 - gene) * v["cancer_given_no_gene"]
+
+        if scenario == "smoking-edt":
+            p_smoke, p_not = cancer(v["gene_given_smoke"]), cancer(v["gene_given_no_smoke"])
+        else:
+            p_smoke = p_not = cancer(v["gene_prior"])
+        return v["smoke_utility"] + v["cancer_utility"] * p_smoke, v["cancer_utility"] * p_not
+    if scenario == "newcomb":
+        p, big, small = v["accuracy"], v["big_box"], v["small_box"]
+        if theory == "cdt":  # the prediction follows the prior disposition, not the act
+            q = (1.0 - v["two_box_prior"]) * p + v["two_box_prior"] * (1.0 - p)
+            return q * big, q * big + small
+        return p * big, (1.0 - p) * (big + small) + p * small
+    if scenario == "parfit":
+        p, pay, stranded = v["accuracy"], v["payment"], v["stranded_utility"]
+        if theory == "cdt":  # the driver reads the prior disposition, not the act
+            drive = (1.0 - v["refuse_prior"]) * p + v["refuse_prior"] * (1.0 - p)
+            return -drive * pay + (1.0 - drive) * stranded, (1.0 - drive) * stranded
+        return -p * pay + (1.0 - p) * stranded, p * stranded
+    rho = v["rho"]
+    if theory == "cdt":  # the twin's action is a fair coin whatever rho is
+        return (v["cc"] + v["cd"]) / 2.0, (v["dc"] + v["dd"]) / 2.0
+    return rho * v["cc"] + (1.0 - rho) * v["cd"], (1.0 - rho) * v["dc"] + rho * v["dd"]

@@ -107,6 +107,14 @@ def test_scenario_command_rejects_non_finite_override(value, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_scenario_command_rejects_repeated_override(capsys):
+    assert cli.main(["scenario", "newcomb", "--accuracy", "0.5", "--accuracy", "0.6"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "accuracy" in captured.err
+
+
 def test_evolve_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = cli.main([

@@ -83,6 +83,8 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         (pd_dict(game_params={"signal_acuracy": 0.9}), "signal_acuracy"),
         (pd_dict(game_params={"cc": 1}), "DC > CC > DD > CD"),
         (pd_dict(game_params={"cc": "7"}), "cc"),
+        # np.longdouble has no Python equal and breaks np.bincount in a run.
+        (pd_dict(game_params=dict(VALID["pd"]["game_params"], cc=np.longdouble(7))), r"game_params\['cc'\]"),
         (pd_dict(initial_shares=["0.34", "0.33", "0.33"]), "initial_shares"),
         (pd_dict(initial_shares=[float("nan"), 0.5, 0.5]), "initial_shares"),
         (pd_dict(initial_shares=[0.5, 0.5]), "initial_shares"),

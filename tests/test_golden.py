@@ -9,8 +9,14 @@ Two cases guard known traps: ``beauty-cdt-heavy`` at N = 301, seed 0 has
 exactly one Random agent in generation 39 (and none in generation 40), and
 ``pd-fractional`` uses non-integer payoffs, where summing the two sides of
 each pairing in another order changes the last bits of the scores.
+
+The ``oneshot`` digest covers the one-shot scenarios: every (scenario,
+theory) pair's choice and the exact bits of its EUs, at the defaults and at
+drawn overrides. It changes if a built model or the order of any sum in
+the enumeration changes.
 """
 import hashlib
+import random
 from dataclasses import replace
 
 import pytest
@@ -18,6 +24,9 @@ import pytest
 from fdtsim import experiments
 from fdtsim.cli import SWEEP_PRESETS
 from fdtsim.experiments import PRESETS
+from fdtsim.graphs import decide
+from fdtsim.scenarios import build
+from oracles import ONESHOT_PAIRS, scenario_params
 
 RUNS = {
     "pd-baseline": replace(PRESETS["pd-baseline"], population=300, generations=30, rounds=20, seed=1),
@@ -40,6 +49,7 @@ RUNS = {
 }
 
 SWEEP_RUNS = 3
+ONESHOT_DRAWS = 30
 
 DIGESTS = {
     "beauty-baseline": "8524bcec1efbc6e7f8d9fb203df4f04696c714d81193ca8ef05a23a770765f86",
@@ -51,6 +61,7 @@ DIGESTS = {
     "newcomb-sweep": "171f0de8228e3d52960c3b1c0a3c63bada60b864a78477f8a04f615e4184faca",
     "pd-payoff-sweep": "cf501f426a740450294590a850bfa6d2a1a413c259dfca35c41c12379c91fb12",
     "pd-signal-sweep": "9ac580663a3b552f5b785076af631d8e06b5af9faaf072a48f7760e3995dd8ca",
+    "oneshot": "c71e8eceab88204665032bcab713f6c09f585da6cbd97ace702b9f332b9c52d1",
 }
 
 
@@ -69,6 +80,17 @@ def sweep_digest(preset: str) -> str:
     return digest.hexdigest()
 
 
+def oneshot_digest() -> str:
+    rng = random.Random(6)
+    digest = hashlib.sha256()
+    for scenario, theory in ONESHOT_PAIRS:
+        for overrides in [{}] + [scenario_params(scenario, rng.uniform) for _ in range(ONESHOT_DRAWS)]:
+            report = decide(build(scenario, **overrides), theory)
+            eus = [eu.hex() for eu in report.expected_utility.values()]
+            digest.update(repr((scenario, theory, report.chosen, eus)).encode())
+    return digest.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_run_csv_digest(name):
     assert run_digest(RUNS[name]) == DIGESTS[name]
@@ -77,3 +99,7 @@ def test_run_csv_digest(name):
 @pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
 def test_sweep_csv_digest(preset):
     assert sweep_digest(preset) == DIGESTS[preset]
+
+
+def test_oneshot_digest():
+    assert oneshot_digest() == DIGESTS["oneshot"]

@@ -95,6 +95,21 @@ def test_infer_rejects_zero_probability_evidence():
         infer(model, {"B": "no"}, "A")
 
 
+@pytest.mark.parametrize(
+    "evidence, query, message",
+    [
+        ({"Nope": "x"}, "Action", "unknown variable 'Nope'"),
+        ({}, "Nope", "unknown variable 'Nope'"),
+        # A label outside the domain is a bad input, not evidence of probability zero.
+        ({"Action": "three-box"}, "Action", "'three-box' is not in the domain"),
+    ],
+)
+def test_infer_rejects_evidence_or_query_outside_the_model(evidence, query, message):
+    with pytest.raises(ValueError, match=message) as info:
+        infer(build("newcomb").model, evidence, query)
+    assert not isinstance(info.value, ZeroProbabilityError)
+
+
 def make_problem(model, **kwargs):
     return DecisionProblem(model=model, action_var="A", **kwargs)
 
@@ -108,6 +123,7 @@ def make_problem(model, **kwargs):
         ("parfit", dict(decision_fn_var="Driver"), "decision_fn_var"),
         ("newcomb", dict(decision_fn_var="Decison"), "decision_fn_var"),
         ("newcomb", dict(evidence={"Predicton": "one-box"}), "evidence"),
+        ("newcomb", dict(evidence={"Prediction": "three-box"}), "evidence"),
         ("newcomb", dict(action_var="Choice"), "action_var"),
     ],
 )

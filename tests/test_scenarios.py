@@ -1,7 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fdtsim.graphs import decide, validate_model
-from fdtsim.scenarios import SCENARIO_IDS, ScenarioError, ScenarioParams, build, build_scenario
+from fdtsim.scenarios import SCENARIO_IDS, ScenarioError, build
+from oracles import ONESHOT_PAIRS, scenario_closed_form, scenario_params
 
 # (scenario, theory) -> expected choice at default parameters
 EXPECTED_CHOICES = {
@@ -98,6 +100,26 @@ def test_twin_pd_payoff_ordering_enforced():
         build("twin-pd", cc=1, cd=7)  # not a dilemma
 
 
-def test_build_scenario_params_object():
-    problem = build_scenario(ScenarioParams("twin-pd", {"rho": 0.9}))
-    assert decide(problem, "fdt").chosen == "C"
+@pytest.mark.parametrize(
+    "value",
+    ["0.5", True, None, 10**400, [0.5]],
+    ids=["str", "bool", "none", "huge-int", "list"],
+)
+def test_non_number_overrides_rejected(value):
+    with pytest.raises(ScenarioError, match="accuracy"):
+        build("newcomb", accuracy=value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair=st.sampled_from(ONESHOT_PAIRS), data=st.data())
+def test_every_pair_matches_its_closed_form(pair, data):
+    # The closed forms are derived from each scenario's graph by hand, so a CPT
+    # row listed in the wrong parent order changes some pair's EUs.
+    scenario, theory = pair
+    v = scenario_params(scenario, lambda low, high: data.draw(st.floats(low, high)))
+    report = decide(build(scenario, **v), theory)
+    expected = scenario_closed_form(scenario, theory, v)
+    tol = 1e-9 * max(abs(u) for u in v.values())
+    assert tuple(report.expected_utility.values()) == pytest.approx(expected, rel=1e-9, abs=tol)
+    if abs(expected[0] - expected[1]) > tol:  # ties go to the first action
+        assert report.chosen == build(scenario).actions[expected[1] > expected[0]]
