@@ -36,21 +36,33 @@ def likelihood(signal_type: int, model: SignalModel) -> np.ndarray:
     return odds
 
 
-def posterior(prior_shares, signal_type: int, model: SignalModel) -> np.ndarray:
-    """Normalized entrywise product of prior odds and signal likelihood.
+def signal_likelihoods(model: SignalModel) -> np.ndarray:
+    """L[s, t]: odds of a signal naming type s about an agent of type t, one row per signal."""
+    return np.array([likelihood(s, model) for s in range(model.type_count)])
 
-    The prior may be given as unnormalized odds; positive rescaling does not
-    change the result.
+
+def posteriors(prior_shares, likelihoods: np.ndarray, signals) -> np.ndarray:
+    """Posterior over types after each of ``signals``, one row per signal.
+
+    Row i is the normalized entrywise product of the prior odds and
+    ``likelihoods[signals[i]]``, a row of ``signal_likelihoods``. The prior may
+    be unnormalized odds. The first signal the prior rules out raises ``AllZeroPosteriorError``.
     """
     prior = np.asarray(prior_shares, dtype=float)
-    if prior.shape != (model.type_count,):
-        raise ValueError(f"prior has shape {prior.shape}, expected ({model.type_count},)")
-    if np.any(prior < 0.0):
-        raise ValueError("prior odds must be nonnegative")
-    product = prior * likelihood(signal_type, model)
-    total = product.sum()
-    if total <= 0.0:
+    k = likelihoods.shape[-1]
+    if prior.shape != (k,) or (prior < 0.0).any():
+        raise ValueError(f"prior must be {k} nonnegative odds, got {prior.tolist()}")
+    if not all(0 <= signal < k for signal in signals):
+        raise IndexError(f"signals {list(signals)} out of range for {k} types")
+    product = prior * likelihoods[signals]
+    total = product.sum(-1)
+    if (total <= 0.0).any():
         raise AllZeroPosteriorError(
-            f"prior {prior.tolist()} and signal {signal_type} have disjoint support"
+            f"prior {prior.tolist()} and signal {signals[np.argmax(total <= 0.0)]} have disjoint support"
         )
-    return product / total
+    return product / total[:, None]
+
+
+def posterior(prior_shares, signal_type: int, model: SignalModel) -> np.ndarray:
+    """Posterior over types after one signal: the one-signal case of ``posteriors``."""
+    return posteriors(prior_shares, signal_likelihoods(model), [signal_type])[0]

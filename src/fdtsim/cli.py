@@ -46,12 +46,22 @@ SWEEP_PRESETS: dict[str, tuple[str, ExperimentConfig, SweepSpec]] = {
 }
 
 
+class _StoreOnce(argparse.Action):
+    """Store a flag's value; a second one is an error, not a silent last-value-wins."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if self.dest in vars(namespace).setdefault("_given", set()):
+            raise ValueError(f"flag {self.option_strings[0]} given more than once")
+        namespace._given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a JSON experiment config")
-    parser.add_argument("--preset", help="named built-in configuration")
-    parser.add_argument("--out", help="output CSV path (sweeps: path template)")
+    parser.add_argument("--config", action=_StoreOnce, help="path to a JSON experiment config")
+    parser.add_argument("--preset", action=_StoreOnce, help="named built-in configuration")
+    parser.add_argument("--out", action=_StoreOnce, help="output CSV path (sweeps: path template)")
     for name, kind in RUN_FLAGS.items():
-        parser.add_argument("--" + name.replace("_", "-"), type=kind)
+        parser.add_argument("--" + name.replace("_", "-"), action=_StoreOnce, type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -60,14 +70,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scn = sub.add_parser("scenario", help="evaluate a one-shot decision problem")
     p_scn.add_argument("scenario", choices=sorted(SCENARIO_IDS))
-    p_scn.add_argument("--theory", choices=sorted(THEORIES), default="fdt")
+    p_scn.add_argument("--theory", action=_StoreOnce, choices=sorted(THEORIES), default="fdt")
 
     p_evo = sub.add_parser("evolve", help="run one evolutionary experiment")
     _add_common_run_flags(p_evo)
 
     p_swp = sub.add_parser("sweep", help="run a batch of experiments")
     _add_common_run_flags(p_swp)
-    p_swp.add_argument("--runs", type=int, help="number of sweep runs")
+    p_swp.add_argument("--runs", action=_StoreOnce, type=int, help="number of sweep runs")
     return parser
 
 
@@ -199,8 +209,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args, extras = parser.parse_known_args(argv)
+    try:
+        args, extras = build_parser().parse_known_args(argv)
+    except ValueError as exc:  # a repeated flag
+        return _error(exc)
     if extras and args.command != "scenario":
         return _error(f"unrecognized arguments: {' '.join(extras)}")
     if args.command == "scenario":

@@ -8,6 +8,7 @@ contest: the whole population guesses at once and is scored by inverse error.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import SignalModel, likelihood, posterior
+from .beliefs import SignalModel, posteriors, signal_likelihoods
 
 # Prisoner's Dilemma type codes; signal index i names type i.
 PD_TYPES = ("defector", "cooperator", "fdt")
@@ -74,6 +75,11 @@ class PdConfig:
         if not 0.0 <= self.signal_accuracy <= 1.0:
             raise ValueError(f"signal_accuracy must be in [0, 1], got {self.signal_accuracy}")
 
+    @functools.cached_property
+    def _tables(self) -> _PdTables:
+        """This config's signal-PD tables, built on first use and kept with the config."""
+        return _PdTables(self)
+
 
 @dataclass(frozen=True)
 class NewcombConfig:
@@ -119,6 +125,10 @@ _ACTIONS = np.array([[0], [1]])  # D, C down the rows
 _PD_TRIALS = np.where(
     np.eye(3, dtype=bool)[:, None, :], _ACTIONS, _PD_POLICY_COOP[:, None, None, :]
 )
+# _PD_FDT_COOP[policy, 4 * opponent type t + 2 * correct + alt]: whether an FDT agent
+# cooperates; a wrong signal about type t names type (t + 1 + alt) % 3.
+_SEEN = [t if correct else (t + 1 + alt) % 3 for t in range(3) for correct in (0, 1) for alt in (0, 1)]
+_PD_FDT_COOP = _PD_POLICY_COOP[:, _SEEN].astype(np.uint8)
 
 
 def _pd_payoff(config: PdConfig, own_coop, opp_coop):
@@ -134,35 +144,36 @@ def _pd_payoff(config: PdConfig, own_coop, opp_coop):
     )
 
 
-def _signal_matrix(model: SignalModel) -> np.ndarray:
-    """M[s, t]: probability that a signal about an agent of type t names type s."""
-    return np.array([likelihood(s, model) for s in range(3)])
+class _PdTables:
+    """Everything in the signal PD that depends on the config alone; see ``PdConfig._tables``."""
 
+    def __init__(self, config: PdConfig):
+        # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
+        self.likelihoods = signal_likelihoods(SignalModel(config.signal_accuracy, 3))
+        self.payoff = _pd_payoff(config, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
+        # vs_fdt[policy, signal, action]: EU against an FDT opponent (see component_eus).
+        self.vs_fdt = (self.likelihoods[:, PD_FDT] * self.payoff[_ACTIONS, _PD_TRIALS]).sum(-1)
+        # K[policy, own, opp]: probability that type ``own`` cooperates against type ``opp``,
+        # and type_payoffs[policy, own, opp]: ``own``'s expected round payoff under that K.
+        k = np.zeros((len(_PD_POLICIES), 3, 3))
+        k[:, PD_COOPERATOR, :] = 1.0
+        k[:, PD_FDT, :] = (_PD_POLICY_COOP[:, None, :] * self.likelihoods.T).sum(-1)
+        self.type_payoffs = _pd_payoff(config, k, np.swapaxes(k, -1, -2))
+        # Each side's payoff indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
+        self.pair_payoffs = self.payoff.ravel(), self.payoff.T.ravel()
 
-def _component_eus(config: PdConfig, shares, signals) -> np.ndarray:
-    """EU[policy, i, action] of answering ``signals[i]`` with action D (0) or C (1).
+    def component_eus(self, shares, signals) -> np.ndarray:
+        """EU[policy, i, action] of answering ``signals[i]`` with action D (0) or C (1).
 
-    Against the posterior over the opponent's type, a Defector defects, a
-    Cooperator cooperates, and an FDT opponent answers its own signal about
-    this agent with the policy whose ``signals[i]`` component is forced to
-    the action (same function, same input, same output). Sums run left to
-    right, like the scalar oracle's, so exact ties between policies break alike.
-    """
-    model = SignalModel(config.signal_accuracy, 3)
-    post = np.array([posterior(shares, s, model) for s in signals])
-    table = _pd_payoff(config, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
-    vs_fdt = (_signal_matrix(model)[:, PD_FDT] * table[_ACTIONS, _PD_TRIALS[:, signals]]).sum(-1)
-    return post[:, :1] * table[:, 0] + post[:, 1:2] * table[:, 1] + post[:, 2:] * vs_fdt
-
-
-def _type_eus(config: PdConfig, shares: np.ndarray, coop: np.ndarray) -> np.ndarray:
-    """Per-type EUs under the FDT cooperation per signal ``coop`` (leading axes batch)."""
-    # K[..., own, opp]: probability that type ``own`` cooperates against type ``opp``.
-    k = np.zeros(coop.shape[:-1] + (3, 3))
-    k[..., PD_COOPERATOR, :] = 1.0
-    signal_matrix = _signal_matrix(SignalModel(config.signal_accuracy, 3))
-    k[..., PD_FDT, :] = (coop[..., None, :] * signal_matrix.T).sum(-1)
-    return (_pd_payoff(config, k, np.swapaxes(k, -1, -2)) * shares).sum(-1)
+        Against the posterior over the opponent's type, a Defector defects, a
+        Cooperator cooperates, and an FDT opponent answers its own signal about
+        this agent with the policy whose ``signals[i]`` component is forced to
+        the action (same function, same input, same output). Sums run left to
+        right, like the scalar oracle's, so exact ties between policies break alike.
+        """
+        post, table = posteriors(shares, self.likelihoods, signals), self.payoff
+        known = post[:, :1] * table[:, 0] + post[:, 1:2] * table[:, 1]
+        return known + post[:, 2:] * self.vs_fdt[:, signals]
 
 
 def pd_component_eu(config: PdConfig, shares, policy: PdPolicy, signal: int, action: str) -> float:
@@ -173,7 +184,7 @@ def pd_component_eu(config: PdConfig, shares, policy: PdPolicy, signal: int, act
     policy, with the component under consideration forced to ``action``
     (same function, same input, same output).
     """
-    eus = _component_eus(config, shares, [signal])
+    eus = config._tables.component_eus(shares, [signal])
     return eus[_PD_POLICIES.index(tuple(policy)), 0, int(action == "C")]
 
 
@@ -186,7 +197,8 @@ def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     break toward defection, signal by signal.
     """
     shares = np.asarray(shares, dtype=float)
-    eus = _component_eus(config, shares, [0, 1, 2])
+    tables = config._tables
+    eus = tables.component_eus(shares, [0, 1, 2])
     held = np.where(_PD_POLICY_COOP, eus[..., 1], eus[..., 0])
     other = np.where(_PD_POLICY_COOP, eus[..., 0], eus[..., 1])
     fixed = np.flatnonzero(~(held < other).any(axis=-1))
@@ -194,7 +206,7 @@ def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
         raise NoFixedPointError(
             f"no self-consistent policy for config={config} shares={shares.tolist()}"
         )
-    fdt_eu = _type_eus(config, shares, _PD_POLICY_COOP[fixed])[:, PD_FDT]
+    fdt_eu = (tables.type_payoffs[fixed, PD_FDT] * shares).sum(-1)
     return _PD_POLICIES[fixed[np.argmax(fdt_eu)]]
 
 
@@ -204,8 +216,8 @@ def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndar
     Defectors and Cooperators ignore their signals; FDT agents follow the
     policy on an independent noisy signal of the opponent's true type.
     """
-    coop = np.array([a == "C" for a in policy], dtype=float)
-    return _type_eus(config, np.asarray(shares, dtype=float), coop)
+    type_payoffs = config._tables.type_payoffs[_PD_POLICIES.index(tuple(policy))]
+    return (type_payoffs * np.asarray(shares, dtype=float)).sum(-1)
 
 
 def pd_play_many(
@@ -219,17 +231,7 @@ def pd_play_many(
     a wrong signal about type t names type (t + 1 + alt) % 3.
     """
     p = config.signal_accuracy
-    coop = [a == "C" for a in policy]
-    # FDT cooperation indexed by 4 * opponent type + 2 * correct + alt.
-    fdt_coop = np.array(
-        [
-            coop[opp if correct else (opp + 1 + alt) % 3]
-            for opp in range(3)
-            for correct in (0, 1)
-            for alt in (0, 1)
-        ],
-        dtype=np.uint8,
-    )
+    fdt_coop = _PD_FDT_COOP[_PD_POLICIES.index(tuple(policy))]
 
     def cooperates(own: np.ndarray, opp: np.ndarray) -> np.ndarray:
         act = (own == PD_COOPERATOR).view(np.uint8)
@@ -242,9 +244,8 @@ def pd_play_many(
 
     pair = 2 * cooperates(types1, types2)
     pair += cooperates(types2, types1)
-    # Payoffs indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
-    first, second = np.array([0.0, 0.0, 1.0, 1.0]), np.array([0.0, 1.0, 0.0, 1.0])
-    return _pd_payoff(config, first, second)[pair], _pd_payoff(config, second, first)[pair]
+    first, second = config._tables.pair_payoffs
+    return first[pair], second[pair]
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +271,7 @@ def newcomb_play_many(types: np.ndarray, config: NewcombConfig, rng) -> np.ndarr
     probability ``accuracy`` and fills the big box only on a one-box read.
     An agent facing a visibly empty big box settles for the low reward.
     """
-    # Utility indexed by 2 * (would one-box) + (prediction correct).
-    utility = np.array([config.high + config.low, config.low, config.low, config.high])
-    index = np.array(
-        [2 * (newcomb_decision(name, config) == ONE_BOX) for name in NEWCOMB_TYPES]
-    )[types]
-    index += rng.random(types.size) < config.accuracy
-    return utility[index]
+    return NewcombGame(config)._utilities(types, rng.random(types.size))
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +342,18 @@ class NewcombGame:
 
     def __init__(self, config: NewcombConfig):
         self.config = config
+        # Utility by 2 * (would one-box) + (prediction correct), and each type's when wrong or right.
+        utility = np.array([config.high + config.low, config.low, config.low, config.high])
+        one_box = np.array([2 * (newcomb_decision(name, config) == ONE_BOX) for name in NEWCOMB_TYPES])
+        self._wrong, self._right = utility[one_box], utility[one_box + 1]
+
+    def _utilities(self, types: np.ndarray, draws: np.ndarray) -> np.ndarray:
+        """Realized utilities, one per uniform draw; ``types`` broadcasts against ``draws``."""
+        return np.where(draws < self.config.accuracy, self._right[types], self._wrong[types])
 
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
-        utilities = newcomb_play_many(np.tile(types, rounds), self.config, rng)
-        return utilities.reshape(rounds, types.size).sum(axis=0)
+        # The draws of ``newcomb_play_many`` on the population repeated ``rounds`` times.
+        return self._utilities(types, rng.random((rounds, types.size))).sum(axis=0)
 
 
 class BeautyGame:

@@ -115,6 +115,35 @@ def test_scenario_command_rejects_repeated_override(capsys):
     assert "accuracy" in captured.err
 
 
+# Every single-valued flag, given twice (abbreviated, with ``=``, or with the
+# same value both times), is an error, not a silent last-value-wins. The runs
+# are small, so a regression fails fast instead of running a preset in full.
+SMALL = ["--population", "100", "--rounds", "1", "--generations", "1"]
+NEWCOMB_SMALL = ["--preset", "newcomb-baseline"] + SMALL
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["scenario", "newcomb", "--theory", "edt", "--theory", "cdt"], "--theory"),
+        (["evolve", "--population", "5", "--population", "6"], "--population"),
+        (["evolve", "--preset", "newcomb-baseline", "--pop", "5"] + SMALL, "--population"),
+        (["evolve", "--preset", "pd-baseline"] + NEWCOMB_SMALL, "--preset"),
+        (["evolve", "--seed", "1", "--seed=1"] + NEWCOMB_SMALL, "--seed"),
+        (["evolve", "--config", "a.json", "--config", "b.json"], "--config"),
+        (["evolve", "--out", "no-dir/a.csv", "--out", "no-dir/b.csv"] + NEWCOMB_SMALL, "--out"),
+        (["sweep", "--preset", "newcomb-sweep", "--runs", "0", "--runs", "0"] + SMALL, "--runs"),
+        (["sweep", "--preset", "newcomb-sweep", "--runs", "0", "--birth-rate", "0.1",
+          "--birth-rate", "0.2"] + SMALL, "--birth-rate"),
+    ],
+)
+def test_repeated_flag_exits_1_naming_it(argv, flag, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: flag {flag} given more than once\n"
+
+
 def test_evolve_command_writes_csv(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = cli.main([

@@ -5,6 +5,7 @@ with a ``ValueError`` and never later, inside a run.
 """
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -143,6 +144,33 @@ def config_dicts(draw):
     return data
 
 
+@st.composite
+def one_wrong_value(draw):
+    """A valid config with exactly one field, or one ``game_params`` key, set to a ``WRONG`` value.
+
+    Every other value stays valid, so a value that passes the checks reaches
+    the JSON round trip instead of failing on another field first.
+    """
+    game = draw(st.sampled_from(sorted(VALID)))
+    data = dict(VALID[game])
+    if draw(st.booleans()):
+        data[draw(st.sampled_from([f.name for f in fields(ExperimentConfig)]))] = draw(WRONG)
+    else:
+        name = draw(st.sampled_from(list(vars(GAMES[game][1]()))))
+        data["game_params"] = dict(data.get("game_params", {}), **{name: draw(WRONG)})
+    return data
+
+
+def assert_rejected_or_round_trips(data):
+    try:
+        config = ExperimentConfig.from_dict(data)
+    except ValueError:
+        return
+    again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
+    assert again == config
+    assert again.to_dict() == config.to_dict()
+
+
 @given(data=st.one_of(config_dicts(), WRONG))
 @example(data=VALID["pd"])
 @example(data=pd_dict(initial_shares=[1, 0, 0], game_params={"signal_accuracy": 1}))
@@ -153,10 +181,10 @@ def config_dicts(draw):
 ))
 @settings(max_examples=400, deadline=None)
 def test_from_dict_raises_value_error_or_round_trips(data):
-    try:
-        config = ExperimentConfig.from_dict(data)
-    except ValueError:
-        return
-    again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
-    assert again == config
-    assert again.to_dict() == config.to_dict()
+    assert_rejected_or_round_trips(data)
+
+
+@given(data=one_wrong_value())
+@settings(max_examples=300, deadline=None)
+def test_one_wrong_value_raises_value_error_or_round_trips(data):
+    assert_rejected_or_round_trips(data)
