@@ -19,7 +19,7 @@ if TYPE_CHECKING:
 
 
 class NonPositiveScoreError(ValueError):
-    """Reproduction weights need strictly positive scores."""
+    """A negative score, or fewer agents that scored above 0 than there are replacements."""
 
 
 class GameAdapter(Protocol):
@@ -104,20 +104,26 @@ def repopulate(pop: Population, config: ExperimentConfig, rng) -> Population:
 
     Births and deaths are both sampled from the pre-update snapshot and
     applied simultaneously, so a newborn cannot die in the generation it is
-    born. Scores reset to zero.
+    born. An agent that scored 0 played no round (it sat out) and has no
+    fitness information: it neither reproduces nor dies. Scores reset to zero.
     """
     n = pop.size
     types = pop.types.copy()
     replacements = round(n * config.birth_rate)
     if replacements:
         scores = pop.scores
-        bad = np.flatnonzero(scores <= 0.0)
-        if bad.size:
-            raise NonPositiveScoreError(
-                f"agent {bad[0]} has non-positive score {scores[bad[0]]}"
-            )
+        scored = scores > 0.0
+        if (scorers := np.count_nonzero(scored)) < n:
+            bad = np.flatnonzero(scores < 0.0)
+            if bad.size:
+                raise NonPositiveScoreError(f"agent {bad[0]} has negative score {scores[bad[0]]}")
+            if scorers < replacements:
+                raise NonPositiveScoreError(
+                    f"{scorers} agents scored above 0, fewer than the {replacements} replacements"
+                )
         parents = rng.choice(n, size=replacements, replace=True, p=scores / scores.sum())
-        inverse = 1.0 / scores
+        # 1 / inf is 0: an agent that sat out is never a victim.
+        inverse = 1.0 / (scores if scorers == n else np.where(scored, scores, np.inf))
         victims = rng.choice(
             n, size=replacements, replace=False, p=inverse / inverse.sum()
         )

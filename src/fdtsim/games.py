@@ -131,16 +131,18 @@ _SEEN = [t if correct else (t + 1 + alt) % 3 for t in range(3) for correct in (0
 _PD_FDT_COOP = _PD_POLICY_COOP[:, _SEEN].astype(np.uint8)
 
 
-def _pd_payoff(config: PdConfig, own_coop, opp_coop):
+def _pd_payoff(payoffs: tuple[float, float, float, float], own_coop, opp_coop):
     """Row player's expected payoff when each side cooperates with the given probability.
 
-    At probabilities 0 and 1 this is exactly the matching entry of the payoff table.
+    ``payoffs`` is (CC, CD, DC, DD). At probabilities 0 and 1 this is exactly
+    the matching entry of the payoff table.
     """
+    cc, cd, dc, dd = payoffs
     return (
-        own_coop * opp_coop * config.cc
-        + own_coop * (1.0 - opp_coop) * config.cd
-        + (1.0 - own_coop) * opp_coop * config.dc
-        + (1.0 - own_coop) * (1.0 - opp_coop) * config.dd
+        own_coop * opp_coop * cc
+        + own_coop * (1.0 - opp_coop) * cd
+        + (1.0 - own_coop) * opp_coop * dc
+        + (1.0 - own_coop) * (1.0 - opp_coop) * dd
     )
 
 
@@ -150,7 +152,9 @@ class _PdTables:
     def __init__(self, config: PdConfig):
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
         self.likelihoods = signal_likelihoods(SignalModel(config.signal_accuracy, 3))
-        self.payoff = _pd_payoff(config, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
+        # As floats: an integer payoff beyond int64 cannot multiply an int64 array.
+        payoffs = tuple(float(v) for v in (config.cc, config.cd, config.dc, config.dd))
+        self.payoff = _pd_payoff(payoffs, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
         # vs_fdt[policy, signal, action]: EU against an FDT opponent (see component_eus).
         self.vs_fdt = (self.likelihoods[:, PD_FDT] * self.payoff[_ACTIONS, _PD_TRIALS]).sum(-1)
         # K[policy, own, opp]: probability that type ``own`` cooperates against type ``opp``,
@@ -158,7 +162,7 @@ class _PdTables:
         k = np.zeros((len(_PD_POLICIES), 3, 3))
         k[:, PD_COOPERATOR, :] = 1.0
         k[:, PD_FDT, :] = (_PD_POLICY_COOP[:, None, :] * self.likelihoods.T).sum(-1)
-        self.type_payoffs = _pd_payoff(config, k, np.swapaxes(k, -1, -2))
+        self.type_payoffs = _pd_payoff(payoffs, k, np.swapaxes(k, -1, -2))
         # Each side's payoff indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
         self.pair_payoffs = self.payoff.ravel(), self.payoff.T.ravel()
 

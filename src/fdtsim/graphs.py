@@ -7,9 +7,10 @@ node and propagating to everything downstream of it (functional).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -74,14 +75,16 @@ class CausalModel:
             self, "utility", {tuple(k): float(v) for k, v in self.utility.items()}
         )
 
-    def variable(self, var_id: str) -> Variable:
-        for v in self.variables:
-            if v.id == var_id:
-                return v
-        raise KeyError(f"no variable {var_id!r} in model")
+    @functools.cached_property
+    def _domains(self) -> dict[str, tuple[str, ...]]:
+        """Each variable's domain by id; the first wins if an id repeats."""
+        return {v.id: v.domain for v in reversed(self.variables)}
 
     def domain(self, var_id: str) -> tuple[str, ...]:
-        return self.variable(var_id).domain
+        try:
+            return self._domains[var_id]
+        except KeyError:
+            raise KeyError(f"no variable {var_id!r} in model") from None
 
     def with_cpt(self, cpt: Cpt) -> "CausalModel":
         cpts = dict(self.cpts)
@@ -105,12 +108,11 @@ class DecisionProblem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "evidence", dict(self.evidence))
-        ids = {v.id for v in self.model.variables}
-        if self.action_var not in ids:
+        if self.action_var not in self.model._domains:
             raise ValueError(f"action_var {self.action_var!r} is not a variable of the model")
         dfv = self.decision_fn_var
         if dfv is not None and not (
-            dfv in ids
+            dfv in self.model._domains
             and self.model.domain(dfv) == self.actions
             and dfv in self.model.cpts[self.action_var].parents
         ):
@@ -139,53 +141,50 @@ class EvaluationReport:
 def _check_evidence(model: CausalModel, evidence: Assignment) -> None:
     """Raise ValueError unless each evidence entry is a variable of ``model`` and a label of its domain."""
     for var, label in evidence.items():
-        domain = next((v.domain for v in model.variables if v.id == var), None)
-        if domain is None:
+        if (domain := model._domains.get(var)) is None:
             raise ValueError(f"evidence names unknown variable {var!r}")
         if label not in domain:
             raise ValueError(f"evidence label {label!r} is not in the domain {domain} of {var!r}")
 
 
-def _point_mass(domain: tuple[str, ...], value: str) -> tuple[float, ...]:
-    return tuple(1.0 if label == value else 0.0 for label in domain)
-
-
-def _topological_order(model: CausalModel) -> list[str]:
+def _topological_order(ids, cpts: Mapping[str, Cpt]) -> list[str]:
     """Kahn's algorithm; raises ValueError if the parent graph has a cycle."""
-    remaining = {v.id: set(model.cpts[v.id].parents) for v in model.variables}
+    remaining = {vid: set(cpts[vid].parents) for vid in ids}
     order: list[str] = []
     while remaining:
         free = sorted(vid for vid, deps in remaining.items() if not deps)
         if not free:
             raise ValueError("parent graph contains a cycle")
-        for vid in free:
-            order.append(vid)
-            del remaining[vid]
-        for deps in remaining.values():
-            deps.difference_update(free)
+        order += free
+        remaining = {vid: deps.difference(free) for vid, deps in remaining.items() if deps}
     return order
 
 
-def _joint(model: CausalModel) -> Iterator[tuple[dict[str, str], float]]:
-    """Enumerate all positive-probability full assignments with their weight."""
-    order = _topological_order(model)
+def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment) -> tuple[list, list]:
+    """The topological order, and every full assignment that agrees with ``evidence``.
 
-    def recurse(i: int, asg: dict[str, str], prob: float):
-        if i == len(order):
-            yield dict(asg), prob
-            return
-        vid = order[i]
-        cpt = model.cpts[vid]
-        key = tuple(asg[p] for p in cpt.parents)
-        row = cpt.table[key]
-        for label, p in zip(model.domain(vid), row):
-            if p <= 0.0:
-                continue
-            asg[vid] = label
-            yield from recurse(i + 1, asg, prob * p)
-        del asg[vid]
-
-    yield from recurse(0, {}, 1.0)
+    Each assignment is a tuple of labels in that order, with the product of
+    its CPT entries taken root first. Assignments come in lexicographic
+    order of (node in topological order, label in domain order); a branch
+    ends at the first entry that is not positive or the first label that
+    contradicts the evidence.
+    """
+    order = _topological_order(model._domains, cpts)
+    states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
+    for vid in order:
+        cpt, want = cpts[vid], evidence.get(vid)
+        rows = {
+            key: [(label, p) for label, p in zip(model._domains[vid], row)
+                  if not p <= 0.0 and want in (None, label)]
+            for key, row in cpt.table.items()
+        }
+        pos = [order.index(p) for p in cpt.parents]
+        states = [
+            (asg + (label,), prob * p)
+            for asg, prob in states
+            for label, p in rows[tuple(map(asg.__getitem__, pos))]
+        ]
+    return order, states
 
 
 def validate_model(model: CausalModel) -> list[str]:
@@ -213,9 +212,7 @@ def validate_model(model: CausalModel) -> list[str]:
         if dangling:
             continue
         domain = model.domain(child)
-        expected_keys = set(
-            itertools.product(*(model.domain(p) for p in cpt.parents))
-        )
+        expected_keys = set(itertools.product(*(model.domain(p) for p in cpt.parents)))
         for key in expected_keys - set(cpt.table):
             diags.append(f"variable {child!r}: missing row for parents {key}")
         for key, row in cpt.table.items():
@@ -235,76 +232,96 @@ def validate_model(model: CausalModel) -> list[str]:
     if diags:
         return diags
     try:
-        _topological_order(model)
+        order, states = _enumerate(model, model.cpts, {})
     except ValueError:
         return diags + ["cycle in parent graph"]
     # Utility must cover every outcome assignment that can actually occur.
-    reachable = {
-        tuple(asg[ov] for ov in model.outcome_vars) for asg, _ in _joint(model)
-    }
+    at = [order.index(ov) for ov in model.outcome_vars]
+    reachable = {tuple(asg[i] for i in at) for asg, _ in states}
     for key in sorted(reachable - set(model.utility)):
         diags.append(f"utility table missing reachable outcome {key}")
     return diags
 
 
-def _condition(model: CausalModel, evidence: Assignment) -> tuple[list[tuple[dict, float]], float]:
-    """The joint's assignments that agree with ``evidence``, and their total weight."""
-    kept, total = [], 0.0
-    for asg, p in _joint(model):
-        if all(asg[k] == v for k, v in evidence.items()):
-            kept.append((asg, p))
-            total += p
-    if total <= 0.0:
-        raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
-    return kept, total
-
-
 def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     """Exact posterior over ``query``'s domain by full-joint enumeration."""
     _check_evidence(model, evidence)
-    if all(v.id != query for v in model.variables):
+    if query not in model._domains:
         raise ValueError(f"query names unknown variable {query!r}")
-    domain = model.domain(query)
-    kept, total = _condition(model, evidence)
-    weights = dict.fromkeys(domain, 0.0)
-    for asg, p in kept:
-        weights[asg[query]] += p
+    order, states = _enumerate(model, model.cpts, evidence)
+    at, domain = order.index(query), model.domain(query)
+    weights, total = dict.fromkeys(domain, 0.0), 0.0
+    for asg, p in states:
+        weights[asg[at]] += p
+        total += p
+    if total <= 0.0:
+        raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
     return np.array([weights[label] for label in domain]) / total
 
 
-def _expected_utility(model: CausalModel, evidence: Assignment) -> float:
-    kept, total = _condition(model, evidence)
-    acc = 0.0
-    for asg, p in kept:
-        outcome = tuple(asg[ov] for ov in model.outcome_vars)
-        if outcome not in model.utility:
-            raise KeyError(f"no utility entry for outcome {outcome}")
-        acc += p * model.utility[outcome]
-    return acc / total
+def _scores(problem: DecisionProblem, theory: str) -> dict[str, float | Exception]:
+    """Every action's expected utility under ``theory``, or the error scoring it alone raises.
 
-
-def _check_action(problem: DecisionProblem, action: str) -> None:
-    if action not in problem.actions:
-        raise ValueError(
-            f"action {action!r} not in domain {problem.actions} of {problem.action_var!r}"
+    One enumeration serves all actions. EDT drops any evidence on the action
+    and splits the joint by action label. CDT makes the action node a root,
+    and FDT the decision-function node (the action copies it), with weight
+    1.0 on every label. As ``x * 1.0 == x``, each action's assignments keep
+    the order and the products of enumerating the model forced to that
+    action alone, so each action's sums are the same to the last bit.
+    """
+    model, act, actions = problem.model, problem.action_var, problem.actions
+    cpts, evidence, ones = dict(model.cpts), dict(problem.evidence), {(): (1.0,) * len(actions)}
+    if theory == "edt":
+        evidence.pop(act, None)
+    elif theory == "cdt":
+        cpts[act] = Cpt(act, (), ones)
+    elif (dfv := problem.decision_fn_var) is None:
+        raise MissingDecisionFunctionError(
+            "problem has no decision-function variable; functional evaluation undefined"
         )
+    else:
+        cpts[dfv] = Cpt(dfv, (), ones)
+        cpts[act] = Cpt(act, (dfv,), {(v,): tuple(float(w == v) for w in actions) for v in actions})
+    order, states = _enumerate(model, cpts, evidence)
+    at, outcome_at = order.index(act), [order.index(ov) for ov in model.outcome_vars]
+    totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
+    for asg, p in states:
+        action, outcome = asg[at], tuple(map(asg.__getitem__, outcome_at))
+        totals[action] += p
+        if (u := model.utility.get(outcome)) is None:
+            missing.setdefault(action, outcome)
+        else:
+            accs[action] += p * u
+    scores: dict[str, float | Exception] = {}
+    for action in actions:
+        if totals[action] <= 0.0:
+            scores[action] = ZeroProbabilityError(
+                f"action {action!r} with evidence {evidence} has probability zero"
+            )
+        elif action in missing:
+            scores[action] = KeyError(f"no utility entry for outcome {missing[action]}")
+        else:
+            scores[action] = accs[action] / totals[action]
+    return scores
+
+
+def _evaluate(problem: DecisionProblem, theory: str, action: str) -> float:
+    scores = _scores(problem, theory)
+    if action not in scores:
+        raise ValueError(f"action {action!r} not in domain {problem.actions} of {problem.action_var!r}")
+    if isinstance(eu := scores[action], Exception):
+        raise eu
+    return eu
 
 
 def evaluate_edt(problem: DecisionProblem, action: str) -> float:
     """Expected utility of conditioning on the action as plain evidence."""
-    _check_action(problem, action)
-    evidence = dict(problem.evidence)
-    evidence[problem.action_var] = action
-    return _expected_utility(problem.model, evidence)
+    return _evaluate(problem, "edt", action)
 
 
 def evaluate_cdt(problem: DecisionProblem, action: str) -> float:
     """Expected utility after forcing the action node (parents severed)."""
-    _check_action(problem, action)
-    model = problem.model
-    domain = model.domain(problem.action_var)
-    forced = Cpt(problem.action_var, (), {(): _point_mass(domain, action)})
-    return _expected_utility(model.with_cpt(forced), problem.evidence)
+    return _evaluate(problem, "cdt", action)
 
 
 def evaluate_fdt(problem: DecisionProblem, action: str) -> float:
@@ -314,40 +331,22 @@ def evaluate_fdt(problem: DecisionProblem, action: str) -> float:
     copies its value; every other descendant of the decision-function node
     updates through its unchanged CPT.
     """
-    dfv = problem.decision_fn_var
-    if dfv is None:
-        raise MissingDecisionFunctionError(
-            "problem has no decision-function variable; functional evaluation undefined"
-        )
-    _check_action(problem, action)
-    model = problem.model
-    dfv_domain = model.domain(dfv)
-    model = model.with_cpt(Cpt(dfv, (), {(): _point_mass(dfv_domain, action)}))
-    action_domain = model.domain(problem.action_var)
-    follow = Cpt(
-        problem.action_var,
-        (dfv,),
-        {(v,): _point_mass(action_domain, v) for v in dfv_domain},
-    )
-    return _expected_utility(model.with_cpt(follow), problem.evidence)
+    return _evaluate(problem, "fdt", action)
 
 
-_EVALUATORS = {"edt": evaluate_edt, "cdt": evaluate_cdt, "fdt": evaluate_fdt}
-THEORIES = tuple(sorted(_EVALUATORS))
+THEORIES = ("cdt", "edt", "fdt")
 
 
 def decide(problem: DecisionProblem, theory: str) -> EvaluationReport:
     """Evaluate every action under ``theory`` and pick the argmax.
 
-    Ties break toward the action listed first in the action domain.
+    Ties break toward the action listed first in the action domain. If an
+    action cannot be scored, the error of the first such action is raised.
     """
-    try:
-        evaluator = _EVALUATORS[theory.lower()]
-    except KeyError:
-        raise ValueError(f"unknown theory {theory!r}; expected one of {sorted(_EVALUATORS)}")
-    eus = {action: evaluator(problem, action) for action in problem.actions}
-    chosen = problem.actions[0]
-    for action in problem.actions[1:]:
-        if eus[action] > eus[chosen]:
-            chosen = action
-    return EvaluationReport(expected_utility=eus, chosen=chosen)
+    if theory.lower() not in THEORIES:
+        raise ValueError(f"unknown theory {theory!r}; expected one of {list(THEORIES)}")
+    eus = _scores(problem, theory.lower())
+    if errors := [eu for eu in eus.values() if isinstance(eu, Exception)]:
+        raise errors[0]
+    # max keeps the first of equal maxima, as it replaces only on a strictly greater EU.
+    return EvaluationReport(expected_utility=eus, chosen=max(problem.actions, key=eus.__getitem__))

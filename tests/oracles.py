@@ -1,7 +1,8 @@
 """Reference implementations of the game kernels, kept as test oracles.
 
 These are the straightforward per-round and per-pair versions of the
-mechanics in ``fdtsim.games``. They draw the same random numbers in the
+mechanics in ``fdtsim.games``, and the one-model-per-action scoring of
+``fdtsim.graphs``. They draw the same random numbers in the
 same order and add each agent's utilities in the same order as the library
 kernels, so the tests compare the two for equal bytes and an equal final
 generator state, not just equal distributions. The PD analytics here (payoff
@@ -13,6 +14,7 @@ import itertools
 import numpy as np
 
 from fdtsim.beliefs import SignalModel, posterior
+from fdtsim.graphs import Cpt, EvaluationReport, MissingDecisionFunctionError, ZeroProbabilityError
 from fdtsim.games import (
     NEWCOMB_TYPES,
     ONE_BOX,
@@ -250,6 +252,125 @@ def beauty_play_generation(config, types, rounds, rng):
     for _ in range(rounds):
         scores += beauty_play_round(types, config, rng)
     return scores
+
+
+# ---------------------------------------------------------------------------
+# Causal-graph scoring, one intervened model and one recursive enumeration per action
+# ---------------------------------------------------------------------------
+
+def _point_mass(domain, value):
+    return tuple(1.0 if label == value else 0.0 for label in domain)
+
+
+def _topological_order(model):
+    """Kahn's algorithm, with the nodes of each level in sorted order."""
+    remaining = {v.id: set(model.cpts[v.id].parents) for v in model.variables}
+    order = []
+    while remaining:
+        free = sorted(vid for vid, deps in remaining.items() if not deps)
+        if not free:
+            raise ValueError("parent graph contains a cycle")
+        for vid in free:
+            order.append(vid)
+            del remaining[vid]
+        for deps in remaining.values():
+            deps.difference_update(free)
+    return order
+
+
+def _joint(model):
+    """Enumerate all positive-probability full assignments with their weight."""
+    order = _topological_order(model)
+
+    def recurse(i, asg, prob):
+        if i == len(order):
+            yield dict(asg), prob
+            return
+        vid = order[i]
+        cpt = model.cpts[vid]
+        row = cpt.table[tuple(asg[p] for p in cpt.parents)]
+        for label, p in zip(model.domain(vid), row):
+            if p <= 0.0:
+                continue
+            asg[vid] = label
+            yield from recurse(i + 1, asg, prob * p)
+        del asg[vid]
+
+    yield from recurse(0, {}, 1.0)
+
+
+def _condition(model, evidence):
+    """The joint's assignments that agree with ``evidence``, and their total weight."""
+    kept, total = [], 0.0
+    for asg, p in _joint(model):
+        if all(asg[k] == v for k, v in evidence.items()):
+            kept.append((asg, p))
+            total += p
+    if total <= 0.0:
+        raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
+    return kept, total
+
+
+def infer(model, evidence, query):
+    kept, total = _condition(model, evidence)
+    weights = dict.fromkeys(model.domain(query), 0.0)
+    for asg, p in kept:
+        weights[asg[query]] += p
+    return np.array(list(weights.values())) / total
+
+
+def _expected_utility(model, evidence):
+    kept, total = _condition(model, evidence)
+    acc = 0.0
+    for asg, p in kept:
+        outcome = tuple(asg[ov] for ov in model.outcome_vars)
+        if outcome not in model.utility:
+            raise KeyError(f"no utility entry for outcome {outcome}")
+        acc += p * model.utility[outcome]
+    return acc / total
+
+
+def _check_action(problem, action):
+    if action not in problem.actions:
+        raise ValueError(f"action {action!r} not in domain {problem.actions}")
+
+
+def evaluate_edt(problem, action):
+    _check_action(problem, action)
+    return _expected_utility(problem.model, {**problem.evidence, problem.action_var: action})
+
+
+def evaluate_cdt(problem, action):
+    _check_action(problem, action)
+    forced = Cpt(problem.action_var, (), {(): _point_mass(problem.actions, action)})
+    return _expected_utility(problem.model.with_cpt(forced), problem.evidence)
+
+
+def evaluate_fdt(problem, action):
+    dfv = problem.decision_fn_var
+    if dfv is None:
+        raise MissingDecisionFunctionError("problem has no decision-function variable")
+    _check_action(problem, action)
+    model = problem.model.with_cpt(Cpt(dfv, (), {(): _point_mass(problem.actions, action)}))
+    follow = Cpt(
+        problem.action_var,
+        (dfv,),
+        {(v,): _point_mass(problem.actions, v) for v in problem.actions},
+    )
+    return _expected_utility(model.with_cpt(follow), problem.evidence)
+
+
+EVALUATORS = {"edt": evaluate_edt, "cdt": evaluate_cdt, "fdt": evaluate_fdt}
+
+
+def decide(problem, theory):
+    """Score each action on its own model, in domain order; ties go to the first action."""
+    eus = {action: EVALUATORS[theory](problem, action) for action in problem.actions}
+    chosen = problem.actions[0]
+    for action in problem.actions[1:]:
+        if eus[action] > eus[chosen]:
+            chosen = action
+    return EvaluationReport(expected_utility=eus, chosen=chosen)
 
 
 # ---------------------------------------------------------------------------

@@ -163,6 +163,28 @@ def test_evolve_command_reads_config_file(tmp_path):
     assert cli.main(["evolve", "--config", str(path)]) == 0
 
 
+def test_evolve_runs_with_agents_that_sit_out(capsys):
+    # At odd N with one round an agent sits out each generation and scores 0.
+    assert cli.main([
+        "evolve", "--preset", "pd-invasion", "--population", "37", "--rounds", "1",
+        "--birth-rate", "0.1", "--generations", "50",
+    ]) == 0
+    assert "final shares" in capsys.readouterr().out
+
+
+def test_evolve_takes_pd_payoffs_beyond_int64(tmp_path, capsys):
+    # The run matches the one with the equal float payoffs row for row.
+    payoffs = {"cc": 7 * 10**19, "cd": 10**19, "dc": 10**20, "dd": 4 * 10**19}
+    rows = []
+    for params in (payoffs, {k: float(v) for k, v in payoffs.items()}):
+        path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+        path.write_text(json.dumps(dict(PD_RUN, game_params=params)))
+        assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        rows.append(csv_rows(out.read_text()))
+    assert rows[0] == rows[1]
+    capsys.readouterr()
+
+
 def test_evolve_requires_config_or_preset(capsys):
     assert cli.main(["evolve"]) == 1
     assert cli.main(["evolve", "--preset", "nope"]) == 1
@@ -216,11 +238,12 @@ REPRODUCERS = {
     ),
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
     "sweep-birth-rate-2": (["sweep", "--preset", "pd-payoff-sweep", "--birth-rate", "2"], None),
-    # Valid configs whose run fails: an agent that sits out every round
-    # scores 0, and a perfect signal about an extinct type has no posterior.
-    "odd-n-sit-out": (
-        EVOLVE_PD + ["--population", "37", "--rounds", "1", "--generations", "3",
-                     "--birth-rate", "0.1", "--seed", "0"],
+    # Valid configs whose run fails: at N = 3 and one round an agent sits
+    # out, leaving two scorers for three replacements; and a perfect signal
+    # about an extinct type has no posterior.
+    "too-few-scorers": (
+        EVOLVE_PD + ["--population", "3", "--rounds", "1", "--generations", "1",
+                     "--birth-rate", "1"],
         None,
     ),
     "disjoint-signal-support": (

@@ -120,12 +120,33 @@ def test_extreme_scores_drive_births_and_deaths():
         assert (new.scores == 0).all()  # scores reset
 
 
-def test_repopulate_rejects_nonpositive_scores():
-    pop = Population(("a", "b"), np.array([0, 1]), np.array([5.0, 0.0]))
-    cfg = config(population=2, birth_rate=0.5)
-    with pytest.raises(NonPositiveScoreError) as exc:
-        repopulate(pop, cfg, np.random.default_rng(0))
-    assert "1" in str(exc.value)  # names the offending agent
+def test_zero_score_agent_is_neither_parent_nor_victim():
+    # Agent 0 sat out every round; two of the three others are replaced.
+    pop = Population(("a", "b"), np.array([0, 1, 1, 1]), np.array([0.0, 1.0, 2.0, 3.0]))
+    cfg = config(population=4, birth_rate=0.5)
+    for seed in range(50):
+        new = repopulate(pop, cfg, np.random.default_rng(seed))
+        assert new.types.tolist() == [0, 1, 1, 1]
+
+
+def test_every_scorer_dies_when_replacements_equal_scorers():
+    pop = Population(("a", "b"), np.array([0, 0, 1, 1]), np.array([0.0, 0.0, 3.0, 5.0]))
+    for seed in range(20):
+        new = repopulate(pop, config(population=4, birth_rate=0.5), np.random.default_rng(seed))
+        assert new.types[:2].tolist() == [0, 0]  # the two sit-outs survive
+
+
+@pytest.mark.parametrize(
+    "scores, message",
+    [
+        ([0.0, 0.0, 0.0, 5.0], "1 agents scored above 0, fewer than the 2 replacements"),
+        ([1.0, 2.0, -3.0, 5.0], "agent 2 has negative score"),
+    ],
+)
+def test_repopulate_rejects_too_few_scorers_or_negative_scores(scores, message):
+    pop = Population(("a", "b"), np.array([0, 1, 0, 1]), np.array(scores))
+    with pytest.raises(NonPositiveScoreError, match=message):
+        repopulate(pop, config(population=4, birth_rate=0.5), np.random.default_rng(0))
 
 
 def test_repopulate_noop_when_rates_zero():

@@ -160,6 +160,36 @@ def test_decide_ties_break_to_first_action():
     )
 
 
+def action_only_problem(prior, utility):
+    """A single root action whose own label is the outcome."""
+    model = CausalModel((Variable("A", BOOL),), {"A": Cpt("A", (), {(): prior})}, ("A",), utility)
+    return make_problem(model)
+
+
+@pytest.mark.parametrize(
+    "prior, utility, errors",
+    [
+        # "no" has probability zero; "yes" still scores.
+        ((1.0, 0.0), {("yes",): 1.0, ("no",): 2.0}, {"no": ZeroProbabilityError}),
+        # "yes" lacks a utility entry; "no" still scores.
+        ((0.5, 0.5), {("no",): 2.0}, {"yes": KeyError}),
+        # Both fail; decide raises the error of the first action in domain order.
+        ((0.0, 1.0), {("yes",): 1.0}, {"yes": ZeroProbabilityError, "no": KeyError}),
+        ((1.0, 0.0), {("no",): 2.0}, {"yes": KeyError, "no": ZeroProbabilityError}),
+    ],
+)
+def test_scoring_errors_stay_per_action(prior, utility, errors):
+    problem = action_only_problem(prior, utility)
+    for action in BOOL:
+        if action in errors:
+            with pytest.raises(errors[action]):
+                evaluate_edt(problem, action)
+        else:
+            assert evaluate_edt(problem, action) == {"yes": 1.0, "no": 2.0}[action]
+    with pytest.raises(errors[next(a for a in BOOL if a in errors)]):
+        decide(problem, "edt")
+
+
 def test_decide_rejects_unknown_theory():
     with pytest.raises(ValueError):
         decide(make_problem(chain_model()), "tdt")

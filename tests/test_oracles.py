@@ -1,10 +1,12 @@
-"""The game adapters, the policy solver and the component EUs against ``oracles``.
+"""The game adapters, the policy solver, the component EUs and the causal-graph scoring against ``oracles``.
 
 The library kernels only reorganise the work around the random draws, so
 each must return the same bytes and leave the generator in the same state
 as its reference version, for every population, round count and
 parameter set, including odd populations, extinct types, a single Random
-agent and perfect or useless signals.
+agent and perfect or useless signals. The graph engine scores all actions
+from one enumeration, and must give each action the bits, or the error,
+of scoring it alone on its own intervened model.
 """
 import itertools
 from functools import partial
@@ -13,6 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 import oracles
+from fdtsim import graphs
 from fdtsim.beliefs import AllZeroPosteriorError
 from fdtsim.games import (
     NEWCOMB_TYPES,
@@ -170,3 +173,86 @@ def test_component_eu_matches_oracle(config, weights):
                     assert got is want
                 else:
                     assert abs(got - want) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Causal-graph scoring
+# ---------------------------------------------------------------------------
+
+cpt_entries = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def decision_problems(draw):
+    """A DAG of 2-5 nodes with 2-3 labels each, zero CPT entries, evidence anywhere and a partial utility.
+
+    Each CPT row is normalized. (An all-zero row makes the oracle's recursion
+    raise a bare KeyError, where the library gives that branch no weight.)
+
+    Nodes are named so that creation order and sorted order differ, which
+    makes the topological order's within-level sort matter.
+    """
+    n = draw(st.integers(2, 5))
+    names = draw(st.permutations("ABCDE"))[:n]
+    domains = [("u", "v", "w")[: draw(st.integers(2, 3))] for _ in range(n)]
+    parents = [sorted(draw(st.sets(st.integers(0, i - 1), max_size=i))) if i else [] for i in range(n)]
+    act = draw(st.integers(0, n - 1))
+    dfv = draw(st.none() | st.integers(0, act - 1)) if act else None
+    if dfv is not None:
+        domains[dfv] = domains[act]
+        parents[act] = sorted({*parents[act], dfv})
+
+    def row(size):
+        weights = draw(st.lists(cpt_entries, min_size=size, max_size=size).filter(any))
+        total = sum(weights)
+        return tuple(w / total for w in weights)
+
+    cpts = {
+        names[i]: graphs.Cpt(
+            names[i],
+            tuple(names[j] for j in parents[i]),
+            {key: row(len(domains[i])) for key in itertools.product(*(domains[j] for j in parents[i]))},
+        )
+        for i in range(n)
+    }
+    outcomes = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    keys = list(itertools.product(*(domains[i] for i in outcomes)))
+    missing = draw(st.sets(st.sampled_from(keys), max_size=2))
+    utility = {key: draw(st.floats(-1e6, 1e6)) for key in keys if key not in missing}
+    evidence = {names[i]: draw(st.sampled_from(domains[i])) for i in draw(st.sets(st.integers(0, n - 1), max_size=2))}
+    model = graphs.CausalModel(
+        tuple(map(graphs.Variable, names, domains)), cpts, tuple(names[i] for i in outcomes), utility
+    )
+    return graphs.DecisionProblem(model, names[act], None if dfv is None else names[dfv], evidence)
+
+
+def scoring_outcome(score, *args):
+    """The exact bits of the result, or the type of the error raised."""
+    try:
+        result = score(*args)
+    except (ValueError, KeyError) as exc:
+        return type(exc)
+    if isinstance(result, graphs.EvaluationReport):
+        return result.chosen, [(a, eu.hex()) for a, eu in result.expected_utility.items()]
+    return result.tobytes() if isinstance(result, np.ndarray) else result.hex()
+
+
+LIBRARY_EVALUATORS = {"edt": graphs.evaluate_edt, "cdt": graphs.evaluate_cdt, "fdt": graphs.evaluate_fdt}
+
+
+@given(decision_problems())
+@settings(max_examples=400)
+def test_graph_scoring_matches_per_action_oracle(problem):
+    for theory in graphs.THEORIES:
+        assert scoring_outcome(graphs.decide, problem, theory) == scoring_outcome(
+            oracles.decide, problem, theory
+        )
+        for action in problem.actions:
+            assert scoring_outcome(LIBRARY_EVALUATORS[theory], problem, action) == scoring_outcome(
+                oracles.EVALUATORS[theory], problem, action
+            )
+    model = problem.model
+    for var in model.variables:
+        assert scoring_outcome(graphs.infer, model, problem.evidence, var.id) == scoring_outcome(
+            oracles.infer, model, problem.evidence, var.id
+        )
