@@ -10,7 +10,7 @@ from pathlib import Path
 from . import experiments
 from .beliefs import AllZeroPosteriorError
 from .evolve import NonPositiveScoreError
-from .experiments import PRESETS, ExperimentConfig, SweepSpec
+from .experiments import PRESETS, SWEEPS, ExperimentConfig
 from .games import NoFixedPointError
 from .graphs import THEORIES, decide
 from .scenarios import SCENARIO_IDS, ScenarioError, build
@@ -26,26 +26,6 @@ RUN_FLAGS = dict(seed=int, generations=int, population=int, rounds=int,
 # Errors a valid config can still meet while it runs, from the game it plays.
 RUN_ERRORS = (NonPositiveScoreError, AllZeroPosteriorError, NoFixedPointError)
 
-# Sweep presets: (kind, base experiment, default sweep settings).
-SWEEP_PRESETS: dict[str, tuple[str, ExperimentConfig, SweepSpec]] = {
-    "pd-payoff-sweep": (
-        "pd-payoffs",
-        replace(PRESETS["pd-baseline"], generations=750),
-        SweepSpec(runs=10),
-    ),
-    "pd-signal-sweep": (
-        "pd-signal",
-        replace(PRESETS["pd-baseline"], generations=2_000),
-        SweepSpec(runs=0),
-    ),
-    "newcomb-sweep": (
-        "newcomb",
-        replace(PRESETS["newcomb-baseline"], generations=500),
-        SweepSpec(runs=10),
-    ),
-}
-
-
 class _StoreOnce(argparse.Action):
     """Store a flag's value; a second one is an error, not a silent last-value-wins."""
 
@@ -57,7 +37,6 @@ class _StoreOnce(argparse.Action):
 
 
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", action=_StoreOnce, help="path to a JSON experiment config")
     parser.add_argument("--preset", action=_StoreOnce, help="named built-in configuration")
     parser.add_argument("--out", action=_StoreOnce, help="output CSV path (sweeps: path template)")
     for name, kind in RUN_FLAGS.items():
@@ -73,6 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scn.add_argument("--theory", action=_StoreOnce, choices=sorted(THEORIES), default="fdt")
 
     p_evo = sub.add_parser("evolve", help="run one evolutionary experiment")
+    p_evo.add_argument("--config", action=_StoreOnce, help="path to a JSON experiment config")
     _add_common_run_flags(p_evo)
 
     p_swp = sub.add_parser("sweep", help="run a batch of experiments")
@@ -142,11 +122,25 @@ def _apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return replace(config, **updates) if updates else config
 
 
-def _summarize(label: str, config: ExperimentConfig, trajectory) -> None:
-    parts = ", ".join(
-        f"{name}={share:.4f}" for name, share in trajectory.final_shares().items()
-    )
+def _run_one(
+    config: ExperimentConfig, out: str | Path | None, label: str, error_prefix: str = "",
+    say_wrote: bool = False,
+) -> int:
+    """Run ``config``, write its CSV to ``out`` if given, and print its summary line as ``label``."""
+    try:
+        trajectory = experiments.run(config)
+    except RUN_ERRORS as exc:
+        return _error(f"{error_prefix}{exc}")
+    if out:
+        try:
+            experiments.write_trajectory(out, trajectory, config)
+        except OSError as exc:
+            return _error(f"cannot write {out}: {exc}", EXIT_IO)
+        if say_wrote:
+            print(f"wrote {out}")
+    parts = ", ".join(f"{name}={share:.4f}" for name, share in trajectory.final_shares().items())
     print(f"{label}: gen {config.generations}, final shares: {parts}")
+    return EXIT_OK
 
 
 def _cmd_evolve(args: argparse.Namespace) -> int:
@@ -156,55 +150,34 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         return _error(exc)
     except OSError as exc:
         return _error(exc, EXIT_IO)
-    try:
-        trajectory = experiments.run(config)
-    except RUN_ERRORS as exc:
-        return _error(exc)
-    if args.out:
-        try:
-            experiments.write_trajectory(args.out, trajectory, config)
-        except OSError as exc:
-            return _error(f"cannot write {args.out}: {exc}", EXIT_IO)
-        print(f"wrote {args.out}")
-    _summarize(config.game, config, trajectory)
-    return EXIT_OK
+    return _run_one(config, args.out, config.game, say_wrote=True)
 
 
 def _sweep_out_path(template: str, index: int) -> Path:
-    path = Path(template)
+    """Run ``index``'s CSV path: ``{i}`` in ``template`` replaced by the index, else a ``-NNN`` suffix."""
     if "{i}" in template:
-        return Path(template.format(i=index))
+        return Path(template.replace("{i}", str(index)))
+    path = Path(template)
     return path.with_name(f"{path.stem}-{index:03d}{path.suffix or '.csv'}")
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if not args.preset or args.preset not in SWEEP_PRESETS:
-        return _error(f"sweep requires --preset, one of {sorted(SWEEP_PRESETS)}")
-    kind, base, spec = SWEEP_PRESETS[args.preset]
+    if args.preset not in SWEEPS:
+        return _error(f"sweep requires --preset, one of {sorted(SWEEPS)}")
+    base, runs, _ = SWEEPS[args.preset]
     try:
-        # The base seed is checked here; each run's seed is drawn from the spec's.
-        base = _apply_run_flags(base, args)
-        if args.seed is not None:
-            spec = replace(spec, seed=args.seed)
-        if args.runs is not None:
-            spec = replace(spec, runs=args.runs)
-        configs = experiments.sweep_configs(kind, base, spec)
+        base = _apply_run_flags(base, args)  # --seed sets the base seed, off which each run's is drawn
+        runs = runs if args.runs is None else args.runs
+        configs = experiments.sweep_configs(args.preset, base, runs, base.seed)
     except ValueError as exc:
         return _error(exc)
     print(f"sweep {args.preset}: {len(configs)} runs")
-    for i, (config, info) in enumerate(configs):
-        try:
-            trajectory = experiments.run(config)
-        except RUN_ERRORS as exc:
-            return _error(f"run {i}: {exc}")
-        if args.out:
-            path = _sweep_out_path(args.out, i)
-            try:
-                experiments.write_trajectory(path, trajectory, config)
-            except OSError as exc:
-                return _error(f"cannot write {path}: {exc}", EXIT_IO)
-        drawn = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in info.items())
-        _summarize(f"run {i} [{drawn}]", config, trajectory)
+    for i, (config, drawn) in enumerate(configs):
+        info = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in drawn.items())
+        out = _sweep_out_path(args.out, i) if args.out else None
+        code = _run_one(config, out, f"run {i} [{info}]", error_prefix=f"run {i}: ")
+        if code != EXIT_OK:
+            return code
     return EXIT_OK
 
 

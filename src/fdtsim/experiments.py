@@ -166,74 +166,71 @@ PRESETS: dict[str, ExperimentConfig] = {
     ),
 }
 
+# Bounds of the sweeps' draws: integer PD payoffs, and Newcomb rewards and predictor accuracy.
+PAYOFF_LOW, PAYOFF_HIGH = 1, 1000
+REWARD_LOW, REWARD_HIGH = 1.0, 1_000_000.0
+ACCURACY_LOW, ACCURACY_HIGH = 0.5, 1.0
 SIGNAL_SWEEP_ACCURACIES = (0.5, 0.6, 0.65, 0.7, 0.8, 0.9)
 
 
-@dataclass(frozen=True)
-class SweepSpec:
-    """Randomized (or gridded) multi-run sweep settings."""
-
-    runs: int
-    payoff_low: int = 1
-    payoff_high: int = 1000
-    accuracy_low: float = 0.5
-    accuracy_high: float = 1.0
-    reward_low: float = 1.0
-    reward_high: float = 1_000_000.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.runs < 0:
-            raise ValueError("runs must be nonnegative")
-        if self.payoff_high < self.payoff_low or self.accuracy_high < self.accuracy_low:
-            raise ValueError("sweep ranges must be nonempty")
-
-
-def _run_seed(spec: SweepSpec, index: int) -> int:
-    return int(np.random.SeedSequence(entropy=spec.seed, spawn_key=(index,)).generate_state(1)[0])
-
-
-def draw_pd_payoffs(rng, low: int = 1, high: int = 1000) -> dict[str, float]:
+def draw_pd_payoffs(rng) -> dict[str, float]:
     """Rejection-sample integer payoffs with the dilemma ordering DC>CC>DD>CD."""
     while True:
-        dc, cc, dd, cd = (int(v) for v in rng.integers(low, high + 1, size=4))
+        dc, cc, dd, cd = (int(v) for v in rng.integers(PAYOFF_LOW, PAYOFF_HIGH + 1, size=4))
         if dc > cc > dd > cd:
             return {"cc": float(cc), "cd": float(cd), "dc": float(dc), "dd": float(dd)}
 
 
-def sweep_configs(kind: str, base: ExperimentConfig, spec: SweepSpec) -> list[tuple[ExperimentConfig, dict]]:
-    """Per-run configs and the drawn parameters for a sweep of ``kind``.
+def _draw_signal_accuracy(rng, i: int) -> dict[str, float]:
+    if i >= len(SIGNAL_SWEEP_ACCURACIES):
+        raise ValueError(f"runs must be <= {len(SIGNAL_SWEEP_ACCURACIES)}, the length of the accuracy grid")
+    return {"signal_accuracy": SIGNAL_SWEEP_ACCURACIES[i]}
 
-    Kinds: ``pd-payoffs`` (random integer payoffs, dilemma ordering kept),
-    ``pd-signal`` (fixed grid of signal accuracies), ``newcomb`` (random
-    rewards with high > low and random predictor accuracy).
+
+def _draw_newcomb(rng, i: int) -> dict[str, float]:
+    """Random rewards with high > low, and a random predictor accuracy."""
+    low, high = rng.uniform(REWARD_LOW, REWARD_HIGH), rng.uniform(REWARD_LOW, REWARD_HIGH)
+    while not high > low:
+        low, high = rng.uniform(REWARD_LOW, REWARD_HIGH), rng.uniform(REWARD_LOW, REWARD_HIGH)
+    return {"high": high, "low": low, "accuracy": rng.uniform(ACCURACY_LOW, ACCURACY_HIGH)}
+
+
+# Sweep id -> (base experiment, default run count, draw(rng, i) of run i's game_params overrides).
+SWEEPS = {
+    "pd-payoff-sweep": (
+        replace(PRESETS["pd-baseline"], generations=750),
+        10,
+        lambda rng, i: draw_pd_payoffs(rng),
+    ),
+    "pd-signal-sweep": (
+        replace(PRESETS["pd-baseline"], generations=2_000),
+        len(SIGNAL_SWEEP_ACCURACIES),
+        _draw_signal_accuracy,
+    ),
+    "newcomb-sweep": (
+        replace(PRESETS["newcomb-baseline"], generations=500),
+        10,
+        _draw_newcomb,
+    ),
+}
+
+
+def sweep_configs(
+    sweep: str, base: ExperimentConfig, runs: int, seed: int
+) -> list[tuple[ExperimentConfig, dict]]:
+    """Per-run configs of ``sweep`` over ``base``, each with its drawn ``game_params`` overrides.
+
+    Run i's seed and its draws come from two streams spawned off ``seed``, so
+    a run does not depend on how many runs come before or after it.
     """
+    if runs < 1:
+        raise ValueError(f"runs must be >= 1, got {runs}")
+    draw = SWEEPS[sweep][2]
     out: list[tuple[ExperimentConfig, dict]] = []
-    if kind == "pd-signal":
-        accuracies = SIGNAL_SWEEP_ACCURACIES[: spec.runs] if spec.runs else SIGNAL_SWEEP_ACCURACIES
-        for i, accuracy in enumerate(accuracies):
-            params = dict(base.game_params, signal_accuracy=accuracy)
-            cfg = replace(base, game_params=params, seed=_run_seed(spec, i))
-            out.append((cfg, {"signal_accuracy": accuracy}))
-        return out
-    for i in range(spec.runs):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=spec.seed, spawn_key=(i, 1)))
-        if kind == "pd-payoffs":
-            payoffs = draw_pd_payoffs(rng, spec.payoff_low, spec.payoff_high)
-            params = dict(base.game_params, **payoffs)
-            info = dict(payoffs)
-        elif kind == "newcomb":
-            low = rng.uniform(spec.reward_low, spec.reward_high)
-            high = rng.uniform(spec.reward_low, spec.reward_high)
-            while not high > low:
-                low = rng.uniform(spec.reward_low, spec.reward_high)
-                high = rng.uniform(spec.reward_low, spec.reward_high)
-            accuracy = rng.uniform(spec.accuracy_low, spec.accuracy_high)
-            params = dict(base.game_params, high=high, low=low, accuracy=accuracy)
-            info = {"high": high, "low": low, "accuracy": accuracy}
-        else:
-            raise ValueError(f"unknown sweep kind {kind!r}")
-        out.append((replace(base, game_params=params, seed=_run_seed(spec, i)), info))
+    for i in range(runs):
+        run_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
+        drawn = draw(np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1))), i)
+        out.append((replace(base, game_params=dict(base.game_params, **drawn), seed=run_seed), drawn))
     return out
 
 

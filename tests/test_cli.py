@@ -4,7 +4,7 @@ import math
 import pytest
 
 from fdtsim import cli, experiments
-from fdtsim.experiments import PRESETS, ExperimentConfig, SweepSpec
+from fdtsim.experiments import PRESETS, SWEEPS, ExperimentConfig
 
 
 def small_config(**kwargs):
@@ -238,6 +238,12 @@ REPRODUCERS = {
     ),
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
     "sweep-birth-rate-2": (["sweep", "--preset", "pd-payoff-sweep", "--birth-rate", "2"], None),
+    # --runs is checked before any run: at least 1, and for the signal sweep
+    # at most the length of its accuracy grid.
+    "sweep-runs-0": (["sweep", "--preset", "newcomb-sweep", "--runs", "0"] + SMALL, None),
+    "signal-sweep-runs-7": (["sweep", "--preset", "pd-signal-sweep", "--runs", "7"] + SMALL, None),
+    # A sweep's runs come from its preset; a config file, even a valid one, is not taken.
+    "sweep-config-flag": (["sweep", "--preset", "newcomb-sweep", "--config", "CONFIG"] + SMALL, PD_RUN),
     # Valid configs whose run fails: at N = 3 and one round an agent sits
     # out, leaving two scorers for three replacements; and a perfect signal
     # about an extinct type has no posterior.
@@ -264,14 +270,6 @@ def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
-def test_sweep_zero_runs(capsys):
-    assert cli.main([
-        "sweep", "--preset", "newcomb-sweep", "--runs", "0",
-        "--population", "200", "--generations", "2", "--rounds", "2",
-    ]) == 0
-    assert "0 runs" in capsys.readouterr().out
-
-
 def test_sweep_writes_one_csv_per_run(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli.main([
@@ -284,6 +282,20 @@ def test_sweep_writes_one_csv_per_run(tmp_path, capsys):
     assert len(files) == 3
     summary = capsys.readouterr().out
     assert "accuracy=" in summary and "high=" in summary
+
+
+# Only a literal ``{i}`` is replaced; other braces are kept as they are.
+@pytest.mark.parametrize("template, first", [
+    ("a{i}.csv", "a0.csv"),
+    ("a{i}{j}.csv", "a0{j}.csv"),
+    ("a{i}{.csv", "a0{.csv"),
+])
+def test_sweep_out_template(template, first, tmp_path, capsys):
+    argv = ["sweep", "--preset", "newcomb-sweep", "--runs", "2", "--out", str(tmp_path / template)]
+    assert cli.main(argv + SMALL) == 0
+    names = sorted(path.name for path in tmp_path.iterdir())
+    assert len(names) == 2 and names[0] == first
+    capsys.readouterr()
 
 
 def test_sweep_requires_known_preset():
@@ -304,8 +316,8 @@ def test_pd_payoff_sweep_draws_are_dilemmas():
 
 
 def test_signal_sweep_grid():
-    base = PRESETS["pd-baseline"]
-    configs = experiments.sweep_configs("pd-signal", base, SweepSpec(runs=0))
+    base, runs, _ = SWEEPS["pd-signal-sweep"]
+    configs = experiments.sweep_configs("pd-signal-sweep", base, runs, 0)
     accuracies = [info["signal_accuracy"] for _, info in configs]
     assert accuracies == [0.5, 0.6, 0.65, 0.7, 0.8, 0.9]
     seeds = {cfg.seed for cfg, _ in configs}

@@ -22,8 +22,7 @@ from dataclasses import replace
 import pytest
 
 from fdtsim import experiments
-from fdtsim.cli import SWEEP_PRESETS
-from fdtsim.experiments import PRESETS
+from fdtsim.experiments import PRESETS, SWEEPS
 from fdtsim.graphs import decide
 from fdtsim.scenarios import build
 from oracles import ONESHOT_PAIRS, scenario_params
@@ -72,10 +71,9 @@ def run_digest(config) -> str:
 
 def sweep_digest(preset: str) -> str:
     """One digest over the CSVs of every run of a shortened sweep, in run order."""
-    kind, base, spec = SWEEP_PRESETS[preset]
-    base = replace(base, population=200, generations=10, rounds=10)
+    base = replace(SWEEPS[preset][0], population=200, generations=10, rounds=10)
     digest = hashlib.sha256()
-    for config, _ in experiments.sweep_configs(kind, base, replace(spec, runs=SWEEP_RUNS)):
+    for config, _ in experiments.sweep_configs(preset, base, SWEEP_RUNS, 0):
         digest.update(experiments.trajectory_csv(experiments.run(config), config).encode())
     return digest.hexdigest()
 
@@ -96,7 +94,7 @@ def test_run_csv_digest(name):
     assert run_digest(RUNS[name]) == DIGESTS[name]
 
 
-@pytest.mark.parametrize("preset", sorted(SWEEP_PRESETS))
+@pytest.mark.parametrize("preset", sorted(SWEEPS))
 def test_sweep_csv_digest(preset):
     assert sweep_digest(preset) == DIGESTS[preset]
 
