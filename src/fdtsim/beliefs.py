@@ -5,8 +5,6 @@ remaining mass splits evenly over the other k - 1 types.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -14,31 +12,15 @@ class AllZeroPosteriorError(ValueError):
     """Prior and likelihood have disjoint support; posterior undefined."""
 
 
-@dataclass(frozen=True)
-class SignalModel:
-    accuracy: float
-    type_count: int = 3
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.accuracy <= 1.0:
-            raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
-        if self.type_count < 2:
-            raise ValueError(f"type_count must be >= 2, got {self.type_count}")
-
-
-def likelihood(signal_type: int, model: SignalModel) -> np.ndarray:
-    """Odds over types for observing a signal naming ``signal_type``."""
-    k = model.type_count
-    if not 0 <= signal_type < k:
-        raise IndexError(f"signal_type {signal_type} out of range for {k} types")
-    odds = np.full(k, (1.0 - model.accuracy) / (k - 1))
-    odds[signal_type] = model.accuracy
-    return odds
-
-
-def signal_likelihoods(model: SignalModel) -> np.ndarray:
+def signal_likelihoods(accuracy: float, k: int) -> np.ndarray:
     """L[s, t]: odds of a signal naming type s about an agent of type t, one row per signal."""
-    return np.array([likelihood(s, model) for s in range(model.type_count)])
+    if not 0.0 <= accuracy <= 1.0:
+        raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
+    if k < 2:
+        raise ValueError(f"k must be >= 2, got {k}")
+    likelihoods = np.full((k, k), (1.0 - accuracy) / (k - 1))
+    np.fill_diagonal(likelihoods, accuracy)
+    return likelihoods
 
 
 def posteriors(prior_shares, likelihoods: np.ndarray, signals) -> np.ndarray:
@@ -62,7 +44,3 @@ def posteriors(prior_shares, likelihoods: np.ndarray, signals) -> np.ndarray:
         )
     return product / total[:, None]
 
-
-def posterior(prior_shares, signal_type: int, model: SignalModel) -> np.ndarray:
-    """Posterior over types after one signal: the one-signal case of ``posteriors``."""
-    return posteriors(prior_shares, signal_likelihoods(model), [signal_type])[0]

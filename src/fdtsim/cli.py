@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -13,7 +14,7 @@ from .evolve import NonPositiveScoreError
 from .experiments import PRESETS, SWEEPS, ExperimentConfig
 from .games import NoFixedPointError
 from .graphs import THEORIES, decide
-from .scenarios import SCENARIO_IDS, ScenarioError, build
+from .scenarios import SCENARIO_IDS, build, scenario_defaults
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -25,6 +26,11 @@ RUN_FLAGS = dict(seed=int, generations=int, population=int, rounds=int,
 
 # Errors a valid config can still meet while it runs, from the game it plays.
 RUN_ERRORS = (NonPositiveScoreError, AllZeroPosteriorError, NoFixedPointError)
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a usage error leaves through ``_error``, like any other
+        raise ValueError(message)
+
 
 class _StoreOnce(argparse.Action):
     """Store a flag's value; a second one is an error, not a silent last-value-wins."""
@@ -43,13 +49,19 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
         parser.add_argument("--" + name.replace("_", "-"), action=_StoreOnce, type=kind)
 
 
+@functools.cache  # built once per process: parsing does not change it
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fdtsim")
+    parser = _Parser(prog="fdtsim")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_scn = sub.add_parser("scenario", help="evaluate a one-shot decision problem")
-    p_scn.add_argument("scenario", choices=sorted(SCENARIO_IDS))
-    p_scn.add_argument("--theory", action=_StoreOnce, choices=sorted(THEORIES), default="fdt")
+    by_id = p_scn.add_subparsers(dest="scenario", required=True)
+    for scenario in sorted(SCENARIO_IDS):
+        p_one = by_id.add_parser(scenario)
+        p_one.add_argument("--theory", action=_StoreOnce, choices=sorted(THEORIES), default="fdt")
+        for name, value in scenario_defaults(scenario).items():
+            p_one.add_argument("--" + name.replace("_", "-"), action=_StoreOnce, type=float,
+                               default=value, help="default: %(default)s")
 
     p_evo = sub.add_parser("evolve", help="run one evolutionary experiment")
     p_evo.add_argument("--config", action=_StoreOnce, help="path to a JSON experiment config")
@@ -66,27 +78,10 @@ def _error(message, code: int = EXIT_USAGE) -> int:
     return code
 
 
-def _scenario_overrides(extras: list[str]) -> dict[str, float]:
-    """Map ``--name value`` pairs to scenario parameter overrides."""
-    overrides: dict[str, float] = {}
-    i = 0
-    while i < len(extras):
-        flag = extras[i]
-        if not flag.startswith("--") or i + 1 >= len(extras):
-            raise ScenarioError(f"unrecognized argument {flag!r}")
-        name = flag[2:].replace("-", "_")
-        if name in overrides:
-            raise ScenarioError(f"parameter {name!r} given more than once")
-        overrides[name] = float(extras[i + 1])
-        i += 2
-    return overrides
-
-
-def _cmd_scenario(args: argparse.Namespace, extras: list[str]) -> int:
+def _cmd_scenario(args: argparse.Namespace) -> int:
     try:
-        overrides = _scenario_overrides(extras)
-        problem = build(args.scenario, **overrides)
-        report = decide(problem, args.theory)
+        parameters = {name: getattr(args, name) for name in scenario_defaults(args.scenario)}
+        report = decide(build(args.scenario, **parameters), args.theory)
     except ValueError as exc:
         return _error(exc)
     print(f"scenario: {args.scenario}")
@@ -97,7 +92,7 @@ def _cmd_scenario(args: argparse.Namespace, extras: list[str]) -> int:
     return EXIT_OK
 
 
-def _load_config(args: argparse.Namespace, presets: dict) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace) -> ExperimentConfig:
     if args.config and args.preset:
         raise ValueError("pass either --config or --preset, not both")
     if args.config:
@@ -107,11 +102,9 @@ def _load_config(args: argparse.Namespace, presets: dict) -> ExperimentConfig:
             raise OSError(f"cannot read config: {exc}") from exc
         config = ExperimentConfig.from_dict(data)
     elif args.preset:
-        if args.preset not in presets:
-            raise ValueError(
-                f"unknown preset {args.preset!r}; available: {sorted(presets)}"
-            )
-        config = presets[args.preset]
+        if args.preset not in PRESETS:
+            raise ValueError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
+        config = PRESETS[args.preset]
     else:
         raise ValueError("one of --config or --preset is required")
     return _apply_run_flags(config, args)
@@ -122,10 +115,8 @@ def _apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return replace(config, **updates) if updates else config
 
 
-def _run_one(
-    config: ExperimentConfig, out: str | Path | None, label: str, error_prefix: str = "",
-    say_wrote: bool = False,
-) -> int:
+def _run_one(config: ExperimentConfig, out: str | Path | None, label: str, error_prefix: str = "",
+             say_wrote: bool = False) -> int:
     """Run ``config``, write its CSV to ``out`` if given, and print its summary line as ``label``."""
     try:
         trajectory = experiments.run(config)
@@ -133,7 +124,7 @@ def _run_one(
         return _error(f"{error_prefix}{exc}")
     if out:
         try:
-            experiments.write_trajectory(out, trajectory, config)
+            Path(out).write_text(experiments.trajectory_csv(trajectory, config))
         except OSError as exc:
             return _error(f"cannot write {out}: {exc}", EXIT_IO)
         if say_wrote:
@@ -143,9 +134,17 @@ def _run_one(
     return EXIT_OK
 
 
+def _check_out_dirs(paths) -> None:
+    """Raise ``OSError`` for the first path (``None``: no output) whose directory does not exist."""
+    for path in paths:
+        if path and not Path(path).parent.is_dir():
+            raise OSError(f"cannot write {path}: {Path(path).parent} is not a directory")
+
+
 def _cmd_evolve(args: argparse.Namespace) -> int:
     try:
-        config = _load_config(args, PRESETS)
+        config = _load_config(args)
+        _check_out_dirs([args.out])
     except ValueError as exc:
         return _error(exc)
     except OSError as exc:
@@ -169,12 +168,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         base = _apply_run_flags(base, args)  # --seed sets the base seed, off which each run's is drawn
         runs = runs if args.runs is None else args.runs
         configs = experiments.sweep_configs(args.preset, base, runs, base.seed)
+        outs = [_sweep_out_path(args.out, i) if args.out else None for i in range(len(configs))]
+        _check_out_dirs(outs)
     except ValueError as exc:
         return _error(exc)
+    except OSError as exc:
+        return _error(exc, EXIT_IO)
     print(f"sweep {args.preset}: {len(configs)} runs")
-    for i, (config, drawn) in enumerate(configs):
+    for i, ((config, drawn), out) in enumerate(zip(configs, outs)):
         info = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in drawn.items())
-        out = _sweep_out_path(args.out, i) if args.out else None
         code = _run_one(config, out, f"run {i} [{info}]", error_prefix=f"run {i}: ")
         if code != EXIT_OK:
             return code
@@ -183,16 +185,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args, extras = build_parser().parse_known_args(argv)
-    except ValueError as exc:  # a repeated flag
+        args = build_parser().parse_args(argv)
+    except ValueError as exc:  # a usage error or a repeated flag
         return _error(exc)
-    if extras and args.command != "scenario":
-        return _error(f"unrecognized arguments: {' '.join(extras)}")
-    if args.command == "scenario":
-        return _cmd_scenario(args, extras)
-    if args.command == "evolve":
-        return _cmd_evolve(args)
-    return _cmd_sweep(args)
+    return {"scenario": _cmd_scenario, "evolve": _cmd_evolve, "sweep": _cmd_sweep}[args.command](args)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
-from pathlib import Path
 
 import numpy as np
 
@@ -113,12 +112,9 @@ class ExperimentConfig:
             raise ValueError(f"missing config keys {missing}")
         return cls(**data)
 
-    def make_game(self):
-        return GAMES[self.game][0](self._game_config())
-
 
 def run(config: ExperimentConfig) -> Trajectory:
-    return run_experiment(config, config.make_game())
+    return run_experiment(config, GAMES[config.game][0](config._game_config()))
 
 
 THIRD = 1.0 / 3.0
@@ -264,6 +260,3 @@ def trajectory_csv(trajectory: Trajectory, config: ExperimentConfig) -> str:
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
-
-def write_trajectory(path, trajectory: Trajectory, config: ExperimentConfig) -> None:
-    Path(path).write_text(trajectory_csv(trajectory, config))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import SignalModel, posteriors, signal_likelihoods
+from .beliefs import posteriors, signal_likelihoods
 
 # Prisoner's Dilemma type codes; signal index i names type i.
 PD_TYPES = ("defector", "cooperator", "fdt")
@@ -151,7 +151,7 @@ class _PdTables:
 
     def __init__(self, config: PdConfig):
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
-        self.likelihoods = signal_likelihoods(SignalModel(config.signal_accuracy, 3))
+        self.likelihoods = signal_likelihoods(config.signal_accuracy, 3)
         # As floats: an integer payoff beyond int64 cannot multiply an int64 array.
         payoffs = tuple(float(v) for v in (config.cc, config.cd, config.dc, config.dd))
         self.payoff = _pd_payoff(payoffs, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
@@ -268,16 +268,6 @@ def newcomb_decision(theory: str, config: NewcombConfig) -> str:
     return ONE_BOX if one_box_eu > two_box_eu else TWO_BOX
 
 
-def newcomb_play_many(types: np.ndarray, config: NewcombConfig, rng) -> np.ndarray:
-    """One predictor encounter per entry of ``types``; returns realized utilities.
-
-    The predictor reads the agent's would-be choice correctly with
-    probability ``accuracy`` and fills the big box only on a one-box read.
-    An agent facing a visibly empty big box settles for the low reward.
-    """
-    return NewcombGame(config)._utilities(types, rng.random(types.size))
-
-
 # ---------------------------------------------------------------------------
 # Keynesian beauty contest
 # ---------------------------------------------------------------------------
@@ -351,13 +341,14 @@ class NewcombGame:
         one_box = np.array([2 * (newcomb_decision(name, config) == ONE_BOX) for name in NEWCOMB_TYPES])
         self._wrong, self._right = utility[one_box], utility[one_box + 1]
 
-    def _utilities(self, types: np.ndarray, draws: np.ndarray) -> np.ndarray:
-        """Realized utilities, one per uniform draw; ``types`` broadcasts against ``draws``."""
-        return np.where(draws < self.config.accuracy, self._right[types], self._wrong[types])
-
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
-        # The draws of ``newcomb_play_many`` on the population repeated ``rounds`` times.
-        return self._utilities(types, rng.random((rounds, types.size))).sum(axis=0)
+        """Each agent's utility over ``rounds`` encounters, one uniform per agent per round.
+
+        The predictor reads the would-be choice right with probability ``accuracy``
+        and fills the big box only on a one-box read; facing it empty, an agent takes low.
+        """
+        draws = rng.random((rounds, types.size))
+        return np.where(draws < self.config.accuracy, self._right[types], self._wrong[types]).sum(axis=0)
 
 
 class BeautyGame:

@@ -138,15 +138,17 @@ def _layout(row: _Scenario) -> tuple:
 _LAYOUTS = {scenario: _layout(row) for scenario, row in _SCENARIOS.items()}
 
 
+def scenario_defaults(scenario: str) -> dict[str, float]:
+    """A copy of ``scenario``'s default parameters by name: the overrides ``build`` accepts."""
+    if scenario not in _SCENARIOS:
+        raise ScenarioError(f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}")
+    return dict(_SCENARIOS[scenario].defaults)
+
+
 def build(scenario: str, **overrides: float) -> DecisionProblem:
     """The decision problem ``scenario``, with any of its default parameters overridden by name."""
-    try:
-        row = _SCENARIOS[scenario]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}"
-        ) from None
-    v = dict(row.defaults)
+    v = scenario_defaults(scenario)
+    row = _SCENARIOS[scenario]
     for name, value in overrides.items():
         if name not in v:
             raise ScenarioError(

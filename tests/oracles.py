@@ -13,7 +13,7 @@ import itertools
 
 import numpy as np
 
-from fdtsim.beliefs import SignalModel, posterior
+from fdtsim.beliefs import posteriors, signal_likelihoods
 from fdtsim.graphs import Cpt, EvaluationReport, MissingDecisionFunctionError, ZeroProbabilityError
 from fdtsim.games import (
     NEWCOMB_TYPES,
@@ -54,7 +54,7 @@ def pd_component_eu(config, shares, policy, signal, action):
     ``vs_fdt`` adds left to right in an explicit loop, like the library's
     sums; ``sum()`` would round differently from Python 3.12 on.
     """
-    post = posterior(shares, signal, SignalModel(config.signal_accuracy, 3))
+    post = posteriors(shares, signal_likelihoods(config.signal_accuracy, 3), [signal])[0]
     trial = list(policy)
     trial[signal] = action
     opp_signal = signal_dist(PD_FDT, config.signal_accuracy)

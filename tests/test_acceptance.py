@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fdtsim import experiments
-from fdtsim.beliefs import SignalModel, posterior
+from fdtsim.beliefs import posteriors, signal_likelihoods
 from fdtsim.evolve import run_experiment
 from fdtsim.experiments import PRESETS, ExperimentConfig
 from fdtsim.games import (
@@ -22,10 +22,10 @@ from fdtsim.games import (
     BeautyConfig,
     BeautyGame,
     NewcombConfig,
+    NewcombGame,
     PdConfig,
     PdGame,
     beauty_guesses,
-    newcomb_play_many,
     pd_component_eu,
     pd_expected_utilities,
     solve_fdt_pd_policy,
@@ -315,12 +315,10 @@ def test_criterion_10_newcomb_analytic_and_evolutionary():
     ok = True
     details = []
     for code, expect in ((1, 9_910.0), (0, 1_100.0)):
-        sample = newcomb_play_many(np.full(n, code), config, rng)
+        sample = NewcombGame(config).play_generation(np.full(n, code), 1, rng)
         se = sample.std() / np.sqrt(n)
         ok &= abs(sample.mean() - expect) < 3 * se
         details.append(f"type {code}: mean={sample.mean():.2f} vs {expect} (3se={3 * se:.2f})")
-
-    from fdtsim.games import NewcombGame
 
     finals = []
     for seed in range(10):
@@ -416,11 +414,11 @@ def test_criterion_14_invariant_spotchecks():
     # posterior normalization + odds-rescaling invariance
     for _ in range(100):
         prior = rng.dirichlet(np.ones(3))
-        model = SignalModel(rng.uniform(0.05, 0.95), 3)
+        likelihoods = signal_likelihoods(rng.uniform(0.05, 0.95), 3)
         signal = int(rng.integers(0, 3))
-        post = posterior(prior, signal, model)
+        post = posteriors(prior, likelihoods, [signal])[0]
         ok &= abs(post.sum() - 1.0) < 1e-9 and (post >= 0).all()
-        scaled = posterior(prior * rng.uniform(0.1, 10), signal, model)
+        scaled = posteriors(prior * rng.uniform(0.1, 10), likelihoods, [signal])[0]
         ok &= np.allclose(post, scaled, atol=1e-9)
 
     # argmax utility-shift invariance + FDT = CDT on single-dependent graphs

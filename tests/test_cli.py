@@ -5,6 +5,7 @@ import pytest
 
 from fdtsim import cli, experiments
 from fdtsim.experiments import PRESETS, SWEEPS, ExperimentConfig
+from fdtsim.scenarios import scenario_defaults
 
 
 def small_config(**kwargs):
@@ -92,6 +93,25 @@ def test_scenario_command(capsys):
 def test_scenario_command_with_override(capsys):
     assert cli.main(["scenario", "twin-pd", "--theory", "fdt", "--rho", "0.5"]) == 0
     assert "chosen: D" in capsys.readouterr().out
+
+
+# A scenario parameter is an ordinary flag: ``--name=value`` and unique abbreviations work.
+@pytest.mark.parametrize("flag", [["--accuracy=0.5"], ["--acc", "0.5"]])
+def test_scenario_parameter_flag_forms(flag, capsys):
+    assert cli.main(["scenario", "newcomb", "--accuracy", "0.5"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["scenario", "newcomb"] + flag) == 0
+    assert capsys.readouterr().out == expected
+    assert "EU[two-box] = 501000" in expected
+
+
+def test_scenario_help_lists_every_parameter_with_its_default(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["scenario", "newcomb", "-h"])
+    assert exit_info.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    for name, value in scenario_defaults("newcomb").items():
+        assert f"--{name.replace('_', '-')} {name.upper()} default: {value}" in text
 
 
 def test_scenario_command_bad_override():
@@ -203,6 +223,29 @@ def test_evolve_unwritable_out_is_io_error():
     ]) == 2
 
 
+def test_evolve_out_that_is_a_directory_fails_when_written(tmp_path, capsys):
+    # Its parent directory exists, so only the write itself can find the fault.
+    assert cli.main(["evolve", "--out", str(tmp_path)] + NEWCOMB_SMALL) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {tmp_path}: ") and captured.err.count("\n") == 1
+
+
+# A missing output directory is found before the run starts, not after it ends.
+@pytest.mark.parametrize("argv", [
+    ["evolve", "--preset", "newcomb-baseline"],
+    ["sweep", "--preset", "newcomb-sweep", "--runs", "3"],
+])
+def test_missing_out_dir_exits_2_before_any_run(argv, tmp_path, monkeypatch, capsys):
+    def no_run(config):
+        raise AssertionError("experiments.run called")
+
+    monkeypatch.setattr(experiments, "run", no_run)
+    assert cli.main(argv + ["--out", str(tmp_path / "missing" / "a.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+
+
 def test_evolve_rejects_unknown_flags():
     assert cli.main(["evolve", "--preset", "newcomb-baseline", "--bogus", "1"]) == 1
 
@@ -237,6 +280,10 @@ REPRODUCERS = {
         None,
     ),
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
+    # Usage errors found by argparse itself.
+    "string-population-flag": (["evolve", "--population", "abc"], None),
+    "unknown-theory": (["scenario", "newcomb", "--theory", "xdt"], None),
+    "no-command": ([], None),
     "sweep-birth-rate-2": (["sweep", "--preset", "pd-payoff-sweep", "--birth-rate", "2"], None),
     # --runs is checked before any run: at least 1, and for the signal sweep
     # at most the length of its accuracy grid.

@@ -21,7 +21,6 @@ from fdtsim.games import (
     PdGame,
     beauty_guesses,
     newcomb_decision,
-    newcomb_play_many,
     pd_component_eu,
     pd_expected_utilities,
     pd_play_many,
@@ -211,7 +210,7 @@ def test_newcomb_play_many_means():
     n = 100_000
     rng = np.random.default_rng(11)
     types = np.repeat([0, 1], n)
-    utilities = newcomb_play_many(types, config, rng)
+    utilities = NewcombGame(config).play_generation(types, 1, rng)
     for code, expect in ((0, 1_100.0), (1, 9_910.0)):
         sample = utilities[types == code]
         se = sample.std() / np.sqrt(n)

@@ -26,7 +26,6 @@ from fdtsim.games import (
     NoFixedPointError,
     PdConfig,
     PdGame,
-    newcomb_play_many,
     pd_component_eu,
     solve_fdt_pd_policy,
 )
@@ -117,7 +116,7 @@ def test_beauty_generation_matches_oracle(config, types, rounds, seed):
 def test_newcomb_play_many_matches_scalar_rounds(config, types, seed):
     # One double per encounter, in order, so the scalar loop sees the same draws.
     rng_many, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    many = newcomb_play_many(np.array(types), config, rng_many)
+    many = NewcombGame(config).play_generation(np.array(types), 1, rng_many)
     scalar = [oracles.newcomb_play_round(NEWCOMB_TYPES[t], config, rng_scalar) for t in types]
     assert many.tobytes() == np.array(scalar, dtype=float).tobytes()
     assert rng_many.bit_generator.state == rng_scalar.bit_generator.state
