@@ -9,6 +9,7 @@ bit-for-bit regardless of how rounds are scheduled.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Protocol, Sequence
 
@@ -19,7 +20,7 @@ if TYPE_CHECKING:
 
 
 class NonPositiveScoreError(ValueError):
-    """A negative score, or fewer agents that scored above 0 than there are replacements."""
+    """Scores no draw can weight: one negative, a total that overflows, or too few above 0."""
 
 
 class GameAdapter(Protocol):
@@ -64,15 +65,6 @@ class Population:
     def counts(self) -> np.ndarray:
         return np.bincount(self.types, minlength=len(self.type_names))
 
-    def shares(self) -> np.ndarray:
-        return self.counts() / self.size
-
-    def mean_scores(self) -> np.ndarray:
-        """Per-type mean accumulated score; 0 for extinct types."""
-        counts = self.counts()
-        sums = np.bincount(self.types, weights=self.scores, minlength=len(self.type_names))
-        return np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
-
 
 @dataclass(frozen=True)
 class GenerationRecord:
@@ -99,6 +91,25 @@ class Trajectory:
         return dict(zip(self.type_names, last.shares))
 
 
+def _choice(rng, p: np.ndarray, size: int, replace: bool) -> np.ndarray:
+    """``rng.choice(p.size, size, replace, p=p)`` by numpy's own algorithm, draw for draw.
+
+    Without ``choice``'s checks: the caller makes sure that ``p`` is finite and
+    that, without replacement, at least ``size`` entries are positive.
+    """
+    p, found = p.copy(), []
+    while True:
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        new = cdf.searchsorted(rng.random(size - len(found)), side="right")
+        if replace:
+            return new
+        found.extend(dict.fromkeys(new.tolist()))  # each new index once, in order of appearance
+        if len(found) == size:
+            return np.array(found, dtype=np.int64)
+        p[found] = 0.0
+
+
 def repopulate(pop: Population, config: ExperimentConfig, rng) -> Population:
     """Score-weighted births, inverse-score-weighted deaths, then mutation.
 
@@ -121,12 +132,16 @@ def repopulate(pop: Population, config: ExperimentConfig, rng) -> Population:
                 raise NonPositiveScoreError(
                     f"{scorers} agents scored above 0, fewer than the {replacements} replacements"
                 )
-        parents = rng.choice(n, size=replacements, replace=True, p=scores / scores.sum())
         # 1 / inf is 0: an agent that sat out is never a victim.
         inverse = 1.0 / (scores if scorers == n else np.where(scored, scores, np.inf))
-        victims = rng.choice(
-            n, size=replacements, replace=False, p=inverse / inverse.sum()
-        )
+        total, inverse_total = scores.sum(), inverse.sum()
+        if not (math.isfinite(total) and math.isfinite(inverse_total)):
+            raise NonPositiveScoreError(f"scores sum to {total}, inverses to {inverse_total}: not finite")
+        deaths = inverse / inverse_total
+        if (mortal := np.count_nonzero(deaths)) < replacements:
+            raise NonPositiveScoreError(f"{mortal} death weights above 0, fewer than {replacements} deaths")
+        parents = _choice(rng, scores / total, replacements, replace=True)
+        victims = _choice(rng, deaths, replacements, replace=False)
         types[victims] = pop.types[parents]
     mutants = round(n * config.mutation_rate)
     if mutants:
@@ -145,17 +160,15 @@ def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:
     """Run the full generation loop; deterministic given the master seed."""
     pop = Population.from_shares(game.type_names, config.initial_shares, config.population)
     trajectory = Trajectory(type_names=tuple(game.type_names))
-    for generation in range(1, config.generations + 1):
-        scores = game.play_generation(pop.types, config.rounds, _stream(config.seed, generation, 0))
-        scored = Population(pop.type_names, pop.types, scores)
-        mean_scores = scored.mean_scores()
-        pop = repopulate(scored, config, _stream(config.seed, generation, 1))
-        trajectory.records.append(
-            GenerationRecord(
-                generation=generation,
-                counts=tuple(int(c) for c in pop.counts()),
-                shares=tuple(float(s) for s in pop.shares()),
-                mean_scores=tuple(float(m) for m in mean_scores),
-            )
-        )
+    k, n, counts = len(game.type_names), pop.size, pop.counts()
+    with np.errstate(over="ignore"):  # no warning: repopulate raises on a score total that overflows
+        for generation in range(1, config.generations + 1):
+            scores = game.play_generation(pop.types, config.rounds, _stream(config.seed, generation, 0))
+            pop.scores = np.asarray(scores, dtype=float)
+            sums = np.bincount(pop.types, weights=pop.scores, minlength=k)
+            mean_scores = np.divide(sums, counts, out=np.zeros(k), where=counts > 0)
+            pop = repopulate(pop, config, _stream(config.seed, generation, 1))
+            counts = np.bincount(pop.types, minlength=k)
+            record = (tuple(column.tolist()) for column in (counts, counts / n, mean_scores))
+            trajectory.records.append(GenerationRecord(generation, *record))
     return trajectory

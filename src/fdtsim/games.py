@@ -198,14 +198,17 @@ def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     Scores all eight policies at once, keeps those where every component is
     a best response given the whole policy, and returns the fixed point with
     the highest expected round utility for the FDT type. Remaining ties
-    break toward defection, signal by signal.
+    break toward defection, signal by signal. A signal that no agent can
+    send has no posterior and enters no EU: its component is D, unchecked.
     """
     shares = np.asarray(shares, dtype=float)
     tables = config._tables
-    eus = tables.component_eus(shares, [0, 1, 2])
-    held = np.where(_PD_POLICY_COOP, eus[..., 1], eus[..., 0])
-    other = np.where(_PD_POLICY_COOP, eus[..., 0], eus[..., 1])
-    fixed = np.flatnonzero(~(held < other).any(axis=-1))
+    sent = (shares * tables.likelihoods).sum(-1) > 0.0  # as in ``posteriors``
+    signals = np.flatnonzero(sent).tolist()
+    eus = tables.component_eus(shares, signals)
+    coop = _PD_POLICY_COOP[:, signals]
+    held, other = np.where(coop, eus[..., 1], eus[..., 0]), np.where(coop, eus[..., 0], eus[..., 1])
+    fixed = np.flatnonzero(~(held < other).any(-1) & ~_PD_POLICY_COOP[:, ~sent].any(-1))
     if not fixed.size:
         raise NoFixedPointError(
             f"no self-consistent policy for config={config} shares={shares.tolist()}"

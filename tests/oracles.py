@@ -152,7 +152,12 @@ def pd_play_many(types1, types2, policy, config, rng):
 
 
 def _is_fixed_point(config, shares, policy):
+    """Every component a best response; one for a signal no agent can send is D instead."""
     for s in range(3):
+        if not any(shares[t] * signal_dist(t, config.signal_accuracy)[s] > 0.0 for t in range(3)):
+            if policy[s] == "C":
+                return False
+            continue
         eu_c = pd_component_eu(config, shares, policy, s, "C")
         eu_d = pd_component_eu(config, shares, policy, s, "D")
         held = eu_c if policy[s] == "C" else eu_d

@@ -292,21 +292,34 @@ REPRODUCERS = {
     # A sweep's runs come from its preset; a config file, even a valid one, is not taken.
     "sweep-config-flag": (["sweep", "--preset", "newcomb-sweep", "--config", "CONFIG"] + SMALL, PD_RUN),
     # Valid configs whose run fails: at N = 3 and one round an agent sits
-    # out, leaving two scorers for three replacements; and a perfect signal
-    # about an extinct type has no posterior.
+    # out, leaving two scorers for three replacements; and payoffs near the
+    # float limit overflow the scores to inf, which no weight can come from.
     "too-few-scorers": (
         EVOLVE_PD + ["--population", "3", "--rounds", "1", "--generations", "1",
                      "--birth-rate", "1"],
         None,
     ),
-    "disjoint-signal-support": (
+    "score-overflow": (
         CONFIG,
-        dict(PD_RUN, initial_shares=[0.9, 0.0, 0.1], game_params={"signal_accuracy": 1.0}),
+        {"game": "pd", "population": 200, "generations": 2, "rounds": 5,
+         "initial_shares": [0.4, 0.3, 0.3],
+         "game_params": {"cc": 1e307, "cd": 1e306, "dc": 1.7e308, "dd": 5e306}},
     ),
 }
 
 
+def test_evolve_runs_with_a_perfect_signal_about_an_extinct_type(tmp_path, capsys):
+    # No agent can send signal 1, so it has no posterior; the FDT policy answers it with D.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(
+        dict(PD_RUN, initial_shares=[0.9, 0.0, 0.1], game_params={"signal_accuracy": 1.0})
+    ))
+    assert cli.main(["evolve", "--config", str(path)]) == 0
+    assert "final shares" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("case", sorted(REPRODUCERS))
+@pytest.mark.filterwarnings("error")  # one error line, and no numpy warning before it
 def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     argv, config = REPRODUCERS[case]
     path = tmp_path / "cfg.json"

@@ -141,11 +141,15 @@ def test_every_scorer_dies_when_replacements_equal_scorers():
     [
         ([0.0, 0.0, 0.0, 5.0], "1 agents scored above 0, fewer than the 2 replacements"),
         ([1.0, 2.0, -3.0, 5.0], "agent 2 has negative score"),
+        ([1e308, 1e308, 1.0, 1.0], "scores sum to inf"),
+        ([float("nan"), 1.0, 2.0, 3.0], "scores sum to nan"),
+        # 1 / 1e300 is lost beside 1 / 1e-300: one agent carries the whole death weight.
+        ([1e-300, 1e300, 1e300, 1e300], "1 death weights above 0, fewer than 2 deaths"),
     ],
 )
 def test_repopulate_rejects_too_few_scorers_or_negative_scores(scores, message):
     pop = Population(("a", "b"), np.array([0, 1, 0, 1]), np.array(scores))
-    with pytest.raises(NonPositiveScoreError, match=message):
+    with np.errstate(over="ignore"), pytest.raises(NonPositiveScoreError, match=message):  # as in a run
         repopulate(pop, config(population=4, birth_rate=0.5), np.random.default_rng(0))
 
 

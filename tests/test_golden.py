@@ -9,6 +9,10 @@ Two cases guard known traps: ``beauty-cdt-heavy`` at N = 301, seed 0 has
 exactly one Random agent in generation 39 (and none in generation 40), and
 ``pd-fractional`` uses non-integer payoffs, where summing the two sides of
 each pairing in another order changes the last bits of the scores.
+Two cover draws the others never make: ``newcomb-mutating`` has
+round(N·m) = 6 mutants per generation (every other run has none), and
+``pd-sit-out`` (odd N, one round) leaves one agent on score 0 each
+generation, so a zero weight enters the death draw.
 
 The ``oneshot`` digest covers the one-shot scenarios: every (scenario,
 theory) pair's choice and the exact bits of its EUs, at the defaults and at
@@ -45,6 +49,12 @@ RUNS = {
     ),
     "beauty-baseline": replace(PRESETS["beauty-baseline"], population=300, generations=30, seed=5),
     "beauty-cdt-heavy": replace(PRESETS["beauty-cdt-heavy"], population=301, generations=40, seed=0),
+    "newcomb-mutating": replace(
+        PRESETS["newcomb-baseline"], population=300, generations=30, rounds=5, mutation_rate=0.02, seed=7
+    ),
+    "pd-sit-out": replace(
+        PRESETS["pd-invasion"], population=301, generations=20, rounds=1, birth_rate=0.1, seed=8
+    ),
 }
 
 SWEEP_RUNS = 3
@@ -54,9 +64,11 @@ DIGESTS = {
     "beauty-baseline": "8524bcec1efbc6e7f8d9fb203df4f04696c714d81193ca8ef05a23a770765f86",
     "beauty-cdt-heavy": "426a1f77eae7d54fc8ef7580f69c3033e891ac4ee659a9fb7bd79499f2aa57d9",
     "newcomb-baseline": "25f930b8212a6f21eba3b2a25166e91d1ad919203e4e4851d7e382ae49c87b8a",
+    "newcomb-mutating": "63eeb4f080fe97fc12dbca27b36bf0056e8009b52be0142c5f85910d64502e76",
     "pd-baseline": "1293e9a0b1b038533b3a719cb4306268334e87be83bd2f66c669db981cb07e61",
     "pd-fractional": "82bf170cc092f12e48903c84ecd82756ce05ff699752ad118c1086d009d7e393",
     "pd-invasion-odd": "36e08969c5d5b68dd41ee0b84689405e6e3685b2c446fb2c62956220bb81226f",
+    "pd-sit-out": "a57f98a8526985630c16511aca5b36e59f335659dc924600c45b23d328c0128e",
     "newcomb-sweep": "171f0de8228e3d52960c3b1c0a3c63bada60b864a78477f8a04f615e4184faca",
     "pd-payoff-sweep": "cf501f426a740450294590a850bfa6d2a1a413c259dfca35c41c12379c91fb12",
     "pd-signal-sweep": "9ac580663a3b552f5b785076af631d8e06b5af9faaf072a48f7760e3995dd8ca",

@@ -6,16 +6,19 @@ as its reference version, for every population, round count and
 parameter set, including odd populations, extinct types, a single Random
 agent and perfect or useless signals. The graph engine scores all actions
 from one enumeration, and must give each action the bits, or the error,
-of scoring it alone on its own intervened model.
+of scoring it alone on its own intervened model. The births and deaths of
+``evolve.repopulate`` must be numpy's own ``Generator.choice``, draw for draw.
 """
 import itertools
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 import oracles
-from fdtsim import graphs
+from fdtsim import evolve, graphs
 from fdtsim.beliefs import AllZeroPosteriorError
 from fdtsim.games import (
     NEWCOMB_TYPES,
@@ -172,6 +175,43 @@ def test_component_eu_matches_oracle(config, weights):
                     assert got is want
                 else:
                     assert abs(got - want) <= 1e-12
+
+
+@given(pd_configs(), st.sampled_from([0.0, 1.0]), share_weights, st.integers(0, 2))
+@settings(max_examples=200)
+def test_perfect_or_useless_signals_about_extinct_types_have_a_policy(config, accuracy, weights, extinct):
+    # At p = 1 a signal naming an extinct type is never sent; at p = 0 one
+    # naming the only surviving type is never sent. Either has no posterior.
+    config = replace(config, signal_accuracy=accuracy)
+    shares = normalized(weights[:extinct] + [0.0] + weights[extinct + 1 :])
+    policy = solver_outcome(solve_fdt_pd_policy, config, shares)
+    assert policy is not AllZeroPosteriorError
+    if policy is not NoFixedPointError:
+        names = (lambda t, s: t == s) if accuracy == 1.0 else (lambda t, s: t != s)
+        sent = [any(shares[t] > 0.0 and names(t, s) for t in range(3)) for s in range(3)]
+        assert all(action == "D" for action, reach in zip(policy, sent) if not reach)
+
+
+# ---------------------------------------------------------------------------
+# Weighted draws of births and deaths
+# ---------------------------------------------------------------------------
+
+@given(
+    arrays(np.float64, st.integers(1, 400), elements=st.just(0.0) | st.floats(1e-9, 1e9)),
+    st.booleans(),
+    st.integers(1, 400),
+    seeds,
+)
+@settings(max_examples=300)
+def test_weighted_draw_matches_numpy_choice(weights, replace_, size, seed):
+    assume(weights.sum() > 0.0)
+    p = weights / weights.sum()
+    size = min(size, np.count_nonzero(p))
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = want_rng.choice(p.size, size=size, replace=replace_, p=p)
+    got = evolve._choice(got_rng, p, size, replace_)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+    assert got_rng.random() == want_rng.random()
 
 
 # ---------------------------------------------------------------------------
