@@ -161,11 +161,15 @@ def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:
     pop = Population.from_shares(game.type_names, config.initial_shares, config.population)
     trajectory = Trajectory(type_names=tuple(game.type_names))
     k, n, counts = len(game.type_names), pop.size, pop.counts()
-    with np.errstate(over="ignore"):  # no warning: repopulate raises on a score total that overflows
+    with np.errstate(over="ignore"):  # no warning: a score sum that overflows raises instead
         for generation in range(1, config.generations + 1):
             scores = game.play_generation(pop.types, config.rounds, _stream(config.seed, generation, 0))
             pop.scores = np.asarray(scores, dtype=float)
             sums = np.bincount(pop.types, weights=pop.scores, minlength=k)
+            finite = np.isfinite(sums)
+            if not finite.all():  # repopulate checks scores only when there are births
+                bad = finite.argmin()
+                raise NonPositiveScoreError(f"{game.type_names[bad]} scores sum to {sums[bad]}: not finite")
             mean_scores = np.divide(sums, counts, out=np.zeros(k), where=counts > 0)
             pop = repopulate(pop, config, _stream(config.seed, generation, 1))
             counts = np.bincount(pop.types, minlength=k)

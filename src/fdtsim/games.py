@@ -30,6 +30,9 @@ BEAUTY_RANDOM, BEAUTY_CDT, BEAUTY_FDT = 0, 1, 2
 
 ONE_BOX, TWO_BOX = "one-box", "two-box"
 
+# Guesses per block of beauty-contest rounds: 26 rounds at N = 10k.
+_BLOCK_ELEMENTS = 2**18
+
 PdPolicy = tuple[str, str, str]  # action ("C" or "D") per received signal
 
 
@@ -355,7 +358,12 @@ class NewcombGame:
 
 
 class BeautyGame:
-    """One whole-population guessing round per round."""
+    """One whole-population guessing round per round, played in blocks of rounds.
+
+    A block holds about ``_BLOCK_ELEMENTS`` guesses (2 MB of float64, and as
+    much again at most for the Random agents' draws), with the same draws and
+    sums as one round at a time.
+    """
 
     type_names = BEAUTY_TYPES
 
@@ -378,22 +386,27 @@ class BeautyGame:
         cdt_guess, fdt_guess = beauty_guesses(np.bincount(types, minlength=3) / n, config)
         is_cdt = types == BEAUTY_CDT
         random_at = np.flatnonzero(types == BEAUTY_RANDOM)
-        guesses = np.where(is_cdt, cdt_guess, fdt_guess)
+        block = max(1, _BLOCK_ELEMENTS // n)
+        guesses = np.tile(np.where(is_cdt, cdt_guess, fdt_guess), (min(block, rounds), 1))
         floor = 1.0 / config.cap
         random_scores = np.zeros(random_at.size)
         cdt_score = fdt_score = 0.0
-        # Utilities add up round by round: summing a (rounds, k) matrix at the
-        # end would use pairwise summation and change the last bits.
-        for _ in range(rounds):
-            draws = rng.uniform(config.low, config.high, random_at.size)
-            guesses[random_at] = draws
-            target = config.fraction * guesses.mean()
-            cdt_score += min(config.cap, 1.0 / max(abs(target - cdt_guess), floor))
-            fdt_score += min(config.cap, 1.0 / max(abs(target - fdt_guess), floor))
-            error = np.abs(np.subtract(target, draws, out=draws), out=draws)
+        for start in range(0, rounds, block):
+            draws = rng.uniform(config.low, config.high, (min(block, rounds - start), random_at.size))
+            rows = guesses[: len(draws)]
+            rows[:, random_at] = draws
+            # Each row's sum is the pairwise sum that ``.mean()`` makes of it.
+            targets = config.fraction * (rows.sum(axis=1) / n)
+            for target in targets.tolist():
+                cdt_score += min(config.cap, 1.0 / max(abs(target - cdt_guess), floor))
+                fdt_score += min(config.cap, 1.0 / max(abs(target - fdt_guess), floor))
+            error = np.abs(np.subtract(targets[:, None], draws, out=draws), out=draws)
             np.maximum(error, floor, out=error)
             np.divide(1.0, error, out=error)
-            random_scores += np.minimum(error, config.cap, out=error)
+            # Utilities add up round by round: summing the block's columns
+            # would use pairwise summation and change the last bits.
+            for row in np.minimum(error, config.cap, out=error):
+                random_scores += row
         scores = np.where(is_cdt, cdt_score, fdt_score)
         scores[random_at] = random_scores
         return scores

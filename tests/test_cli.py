@@ -305,6 +305,13 @@ REPRODUCERS = {
          "initial_shares": [0.4, 0.3, 0.3],
          "game_params": {"cc": 1e307, "cd": 1e306, "dc": 1.7e308, "dd": 5e306}},
     ),
+    # Without births nothing weights the scores, but their means still go to the CSV.
+    "score-overflow-no-births": (
+        CONFIG,
+        {"game": "pd", "population": 200, "generations": 2, "rounds": 5, "birth_rate": 0.0,
+         "initial_shares": [0.4, 0.3, 0.3],
+         "game_params": {"cc": 1e307, "cd": 1e306, "dc": 1.7e308, "dd": 5e306}},
+    ),
 }
 
 

@@ -12,7 +12,9 @@ each pairing in another order changes the last bits of the scores.
 Two cover draws the others never make: ``newcomb-mutating`` has
 round(N·m) = 6 mutants per generation (every other run has none), and
 ``pd-sit-out`` (odd N, one round) leaves one agent on score 0 each
-generation, so a zero weight enters the death draw.
+generation, so a zero weight enters the death draw. ``beauty-blocks`` at
+N = 30,001 and R = 20 plays its rounds in blocks of 8, 8 and 4, where every
+other beauty case fits in one block.
 
 The ``oneshot`` digest covers the one-shot scenarios: every (scenario,
 theory) pair's choice and the exact bits of its EUs, at the defaults and at
@@ -49,6 +51,9 @@ RUNS = {
     ),
     "beauty-baseline": replace(PRESETS["beauty-baseline"], population=300, generations=30, seed=5),
     "beauty-cdt-heavy": replace(PRESETS["beauty-cdt-heavy"], population=301, generations=40, seed=0),
+    "beauty-blocks": replace(
+        PRESETS["beauty-baseline"], population=30_001, generations=3, rounds=20, seed=9
+    ),
     "newcomb-mutating": replace(
         PRESETS["newcomb-baseline"], population=300, generations=30, rounds=5, mutation_rate=0.02, seed=7
     ),
@@ -62,6 +67,7 @@ ONESHOT_DRAWS = 30
 
 DIGESTS = {
     "beauty-baseline": "8524bcec1efbc6e7f8d9fb203df4f04696c714d81193ca8ef05a23a770765f86",
+    "beauty-blocks": "26c6d7b02cbe48baafe0e4b6482eb3594dcddea5354b8289e1b6048401e268eb",
     "beauty-cdt-heavy": "426a1f77eae7d54fc8ef7580f69c3033e891ac4ee659a9fb7bd79499f2aa57d9",
     "newcomb-baseline": "25f930b8212a6f21eba3b2a25166e91d1ad919203e4e4851d7e382ae49c87b8a",
     "newcomb-mutating": "63eeb4f080fe97fc12dbca27b36bf0056e8009b52be0142c5f85910d64502e76",

@@ -2,9 +2,10 @@
 
 The library kernels only reorganise the work around the random draws, so
 each must return the same bytes and leave the generator in the same state
-as its reference version, for every population, round count and
-parameter set, including odd populations, extinct types, a single Random
-agent and perfect or useless signals. The graph engine scores all actions
+as its reference version, for every population, round count, parameter
+set and (for the beauty contest) block size of rounds, including odd
+populations, extinct types, a single Random agent and perfect or useless
+signals. The graph engine scores all actions
 from one enumeration, and must give each action the bits, or the error,
 of scoring it alone on its own intervened model. The births and deaths of
 ``evolve.repopulate`` must be numpy's own ``Generator.choice``, draw for draw.
@@ -12,13 +13,14 @@ of scoring it alone on its own intervened model. The births and deaths of
 import itertools
 from dataclasses import replace
 from functools import partial
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 import oracles
-from fdtsim import evolve, graphs
+from fdtsim import evolve, games, graphs
 from fdtsim.beliefs import AllZeroPosteriorError
 from fdtsim.games import (
     NEWCOMB_TYPES,
@@ -113,6 +115,17 @@ def test_beauty_generation_matches_oracle(config, types, rounds, seed):
     assert outcome(BeautyGame(config).play_generation, types, rounds, seed) == outcome(
         oracle, types, rounds, seed
     )
+
+
+@given(beauty_configs(), populations(3), rounds, seeds, st.data())
+@settings(max_examples=200)
+def test_beauty_generation_in_blocks_of_any_size_matches_oracle(config, types, rounds, seed, data):
+    # Every block size from one round to the whole generation, with a short last block.
+    elements = data.draw(st.integers(1, max(1, len(types) * rounds)))
+    oracle = partial(oracles.beauty_play_generation, config)
+    with mock.patch.object(games, "_BLOCK_ELEMENTS", elements):
+        blocked = outcome(BeautyGame(config).play_generation, types, rounds, seed)
+    assert blocked == outcome(oracle, types, rounds, seed)
 
 
 @given(newcomb_configs(), populations(2), seeds)
