@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -74,22 +74,14 @@ class CausalModel:
         object.__setattr__(
             self, "utility", {tuple(k): float(v) for k, v in self.utility.items()}
         )
-
-    @functools.cached_property
-    def _domains(self) -> dict[str, tuple[str, ...]]:
-        """Each variable's domain by id; the first wins if an id repeats."""
-        return {v.id: v.domain for v in reversed(self.variables)}
+        # Each variable's domain by id; the first wins if an id repeats.
+        object.__setattr__(self, "_domains", {v.id: v.domain for v in reversed(self.variables)})
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         try:
             return self._domains[var_id]
         except KeyError:
             raise KeyError(f"no variable {var_id!r} in model") from None
-
-    def with_cpt(self, cpt: Cpt) -> "CausalModel":
-        cpts = dict(self.cpts)
-        cpts[cpt.child] = cpt
-        return replace(self, cpts=cpts)
 
 
 @dataclass(frozen=True)
@@ -147,9 +139,14 @@ def _check_evidence(model: CausalModel, evidence: Assignment) -> None:
             raise ValueError(f"evidence label {label!r} is not in the domain {domain} of {var!r}")
 
 
-def _topological_order(ids, cpts: Mapping[str, Cpt]) -> list[str]:
-    """Kahn's algorithm; raises ValueError if the parent graph has a cycle."""
-    remaining = {vid: set(cpts[vid].parents) for vid in ids}
+@functools.lru_cache(maxsize=256)
+def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
+    """The topological order of ``shape``'s (id, parents) pairs, and each node's parent positions in it.
+
+    Kahn's algorithm, each level in sorted order; raises ValueError if the
+    parent graph has a cycle. The results are tuples, so no caller can change a cached one.
+    """
+    remaining = {vid: set(parents) for vid, parents in shape}
     order: list[str] = []
     while remaining:
         free = sorted(vid for vid, deps in remaining.items() if not deps)
@@ -157,10 +154,11 @@ def _topological_order(ids, cpts: Mapping[str, Cpt]) -> list[str]:
             raise ValueError("parent graph contains a cycle")
         order += free
         remaining = {vid: deps.difference(free) for vid, deps in remaining.items() if deps}
-    return order
+    parents = dict(shape)
+    return tuple(order), tuple(tuple(map(order.index, parents[vid])) for vid in order)
 
 
-def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment) -> tuple[list, list]:
+def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment) -> tuple[tuple, list]:
     """The topological order, and every full assignment that agrees with ``evidence``.
 
     Each assignment is a tuple of labels in that order, with the product of
@@ -169,16 +167,19 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
     ends at the first entry that is not positive or the first label that
     contradicts the evidence.
     """
-    order = _topological_order(model._domains, cpts)
+    try:
+        shape = tuple((vid, cpts[vid].parents) for vid in model._domains)
+    except KeyError as missing:
+        raise ValueError(f"variable {missing.args[0]!r} has no CPT") from None
+    order, positions = _structure(shape)
     states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
-    for vid in order:
+    for vid, pos in zip(order, positions):
         cpt, want = cpts[vid], evidence.get(vid)
         rows = {
             key: [(label, p) for label, p in zip(model._domains[vid], row)
                   if not p <= 0.0 and want in (None, label)]
             for key, row in cpt.table.items()
         }
-        pos = [order.index(p) for p in cpt.parents]
         states = [
             (asg + (label,), prob * p)
             for asg, prob in states
@@ -259,6 +260,16 @@ def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     return np.array([weights[label] for label in domain]) / total
 
 
+@functools.lru_cache(maxsize=256)
+def _interventions(act: str, dfv: str | None, actions: tuple[str, ...]) -> tuple[tuple[str, Cpt], ...]:
+    """The CPTs that CDT (``dfv`` None) or FDT puts in place of the model's, by variable."""
+    ones = {(): (1.0,) * len(actions)}
+    if dfv is None:
+        return ((act, Cpt(act, (), ones)),)
+    copy = {(v,): tuple(float(w == v) for w in actions) for v in actions}
+    return (dfv, Cpt(dfv, (), ones)), (act, Cpt(act, (dfv,), copy))
+
+
 def _scores(problem: DecisionProblem, theory: str) -> dict[str, float | Exception]:
     """Every action's expected utility under ``theory``, or the error scoring it alone raises.
 
@@ -270,18 +281,15 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float | Exceptio
     action alone, so each action's sums are the same to the last bit.
     """
     model, act, actions = problem.model, problem.action_var, problem.actions
-    cpts, evidence, ones = dict(model.cpts), dict(problem.evidence), {(): (1.0,) * len(actions)}
+    cpts, evidence = dict(model.cpts), dict(problem.evidence)
     if theory == "edt":
         evidence.pop(act, None)
-    elif theory == "cdt":
-        cpts[act] = Cpt(act, (), ones)
-    elif (dfv := problem.decision_fn_var) is None:
+    elif theory == "fdt" and problem.decision_fn_var is None:
         raise MissingDecisionFunctionError(
             "problem has no decision-function variable; functional evaluation undefined"
         )
     else:
-        cpts[dfv] = Cpt(dfv, (), ones)
-        cpts[act] = Cpt(act, (dfv,), {(v,): tuple(float(w == v) for w in actions) for v in actions})
+        cpts.update(_interventions(act, problem.decision_fn_var if theory == "fdt" else None, actions))
     order, states = _enumerate(model, cpts, evidence)
     at, outcome_at = order.index(act), [order.index(ov) for ov in model.outcome_vars]
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
@@ -343,9 +351,9 @@ def decide(problem: DecisionProblem, theory: str) -> EvaluationReport:
     Ties break toward the action listed first in the action domain. If an
     action cannot be scored, the error of the first such action is raised.
     """
-    if theory.lower() not in THEORIES:
+    if (name := theory.lower() if isinstance(theory, str) else None) not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; expected one of {list(THEORIES)}")
-    eus = _scores(problem, theory.lower())
+    eus = _scores(problem, name)
     if errors := [eu for eu in eus.values() if isinstance(eu, Exception)]:
         raise errors[0]
     # max keeps the first of equal maxima, as it replaces only on a strictly greater EU.

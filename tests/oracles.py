@@ -10,6 +10,7 @@ table, component EUs, type EUs, policy solver) are scalar loops that share
 no code with the library's matrix form.
 """
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
@@ -348,7 +349,8 @@ def evaluate_edt(problem, action):
 def evaluate_cdt(problem, action):
     _check_action(problem, action)
     forced = Cpt(problem.action_var, (), {(): _point_mass(problem.actions, action)})
-    return _expected_utility(problem.model.with_cpt(forced), problem.evidence)
+    model = replace(problem.model, cpts={**problem.model.cpts, problem.action_var: forced})
+    return _expected_utility(model, problem.evidence)
 
 
 def evaluate_fdt(problem, action):
@@ -356,13 +358,14 @@ def evaluate_fdt(problem, action):
     if dfv is None:
         raise MissingDecisionFunctionError("problem has no decision-function variable")
     _check_action(problem, action)
-    model = problem.model.with_cpt(Cpt(dfv, (), {(): _point_mass(problem.actions, action)}))
+    forced = Cpt(dfv, (), {(): _point_mass(problem.actions, action)})
     follow = Cpt(
         problem.action_var,
         (dfv,),
         {(v,): _point_mass(problem.actions, v) for v in problem.actions},
     )
-    return _expected_utility(model.with_cpt(follow), problem.evidence)
+    model = replace(problem.model, cpts={**problem.model.cpts, dfv: forced, problem.action_var: follow})
+    return _expected_utility(model, problem.evidence)
 
 
 EVALUATORS = {"edt": evaluate_edt, "cdt": evaluate_cdt, "fdt": evaluate_fdt}

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
+from fdtsim import graphs
 from fdtsim.graphs import (
     CausalModel,
     Cpt,
@@ -54,21 +56,21 @@ def test_validate_clean_model():
 def test_validate_catches_unnormalized_row():
     model = chain_model()
     bad = Cpt("A", (), {(): (0.6, 0.6)})
-    msgs = validate_model(model.with_cpt(bad))
+    msgs = validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
     assert any("normal" in m.lower() for m in msgs)
 
 
 def test_validate_catches_dangling_parent():
     model = chain_model()
     bad = Cpt("B", ("Z",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    msgs = validate_model(model.with_cpt(bad))
+    msgs = validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
     assert any("Z" in m for m in msgs)
 
 
 def test_validate_catches_cycle():
     model = chain_model()
     bad = Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    msgs = validate_model(model.with_cpt(bad))
+    msgs = validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
     assert any("cycle" in m.lower() for m in msgs)
 
 
@@ -190,9 +192,76 @@ def test_scoring_errors_stay_per_action(prior, utility, errors):
         decide(problem, "edt")
 
 
-def test_decide_rejects_unknown_theory():
-    with pytest.raises(ValueError):
-        decide(make_problem(chain_model()), "tdt")
+@pytest.mark.parametrize("theory", ["tdt", None, 3])
+def test_decide_rejects_unknown_theory(theory):
+    with pytest.raises(ValueError, match="unknown theory"):
+        decide(make_problem(chain_model()), theory)
+
+
+def test_variable_without_cpt_is_named():
+    problem = build("newcomb")
+    cpts = {vid: cpt for vid, cpt in problem.model.cpts.items() if vid != "Prediction"}
+    problem = replace(problem, model=replace(problem.model, cpts=cpts))
+    for theory in ("edt", "cdt", "fdt"):
+        with pytest.raises(ValueError, match="'Prediction' has no CPT"):
+            decide(problem, theory)
+    with pytest.raises(ValueError, match="'Prediction' has no CPT"):
+        infer(problem.model, {}, "Action")
+
+
+def reversed_chain_model():
+    """``chain_model``'s ids and numbers with every edge reversed: C -> B -> A."""
+    model = chain_model()
+    flip = {
+        "A": Cpt("A", ("B",), model.cpts["B"].table),
+        "B": Cpt("B", ("C",), model.cpts["C"].table),
+        "C": Cpt("C", (), model.cpts["A"].table),
+    }
+    return replace(model, cpts=flip)
+
+
+def test_same_ids_under_other_edges_get_their_own_order():
+    orders = []
+    for model in (chain_model(), reversed_chain_model()):
+        order, _ = graphs._enumerate(model, model.cpts, {})
+        orders.append(order)
+        problem = make_problem(model)
+        for theory in ("edt", "cdt"):
+            assert decide(problem, theory) == oracles.decide(problem, theory)
+        for query in ("A", "B", "C"):
+            posterior = infer(model, {"A": "yes"}, query)
+            assert posterior.tobytes() == oracles.infer(model, {"A": "yes"}, query).tobytes()
+    assert orders == [("A", "B", "C"), ("C", "B", "A")]
+
+
+def test_cached_structure_is_immutable():
+    order, positions = graphs._structure((("A", ()), ("B", ("A",)), ("C", ("A", "B"))))
+    assert order == ("A", "B", "C") and positions == ((), (0,), (0, 1))
+    assert isinstance(order, tuple) and all(isinstance(p, tuple) for p in positions)
+
+
+def test_cycle_raises_on_every_call():
+    model = chain_model()
+    bad = Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
+    cyclic = replace(model, cpts={**model.cpts, "A": bad})
+    for _ in range(3):
+        with pytest.raises(ValueError, match="cycle"):
+            infer(cyclic, {}, "B")
+        with pytest.raises(ValueError, match="cycle"):
+            decide(make_problem(cyclic), "edt")
+
+
+def test_structure_caches_stay_bounded():
+    caches = (graphs._structure, graphs._interventions)
+    for i in range(max(cache.cache_info().maxsize for cache in caches) + 10):
+        var = f"V{i}"
+        model = CausalModel(
+            (Variable(var, BOOL),), {var: Cpt(var, (), {(): (0.5, 0.5)})}, (var,), {("yes",): 1.0, ("no",): 0.0}
+        )
+        assert decide(DecisionProblem(model, var), "cdt").chosen == "yes"
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize == info.maxsize  # full, and no fuller
 
 
 @given(shift=st.floats(-1e4, 1e4, allow_nan=False), seed=st.integers(0, 10_000))
