@@ -9,7 +9,7 @@ import numpy as np
 from . import __version__
 from .evolve import Trajectory, run_experiment
 from .games import BeautyConfig, BeautyGame, NewcombConfig, NewcombGame, PdConfig, PdGame
-from .games import _is_finite_number
+from .graphs import _is_finite_number
 
 # Game id -> (adapter class, parameter config class).
 GAMES = {

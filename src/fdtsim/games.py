@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beliefs import posteriors, signal_likelihoods
+from .graphs import _is_finite_number, decide
+from .scenarios import build
 
 # Prisoner's Dilemma type codes; signal index i names type i.
 PD_TYPES = ("defector", "cooperator", "fdt")
 PD_DEFECTOR, PD_COOPERATOR, PD_FDT = 0, 1, 2
 
 NEWCOMB_TYPES = ("cdt", "fdt")
-NEWCOMB_CDT, NEWCOMB_FDT = 0, 1
 
 BEAUTY_TYPES = ("random", "cdt", "fdt")
 BEAUTY_RANDOM, BEAUTY_CDT, BEAUTY_FDT = 0, 1, 2
-
-ONE_BOX, TWO_BOX = "one-box", "two-box"
 
 # Guesses per block of beauty-contest rounds: 26 rounds at N = 10k.
 _BLOCK_ELEMENTS = 2**18
@@ -38,18 +35,6 @@ PdPolicy = tuple[str, str, str]  # action ("C" or "D") per received signal
 
 class NoFixedPointError(RuntimeError):
     """No self-consistent policy exists for the given parameters."""
-
-
-def _is_finite_number(value) -> bool:
-    """A real number, not a bool, that is neither NaN nor infinite nor beyond the float range."""
-    if type(value) is float:  # the common case, without the slow abstract-class check below
-        return math.isfinite(value)
-    if not isinstance(value, numbers.Real) or isinstance(value, bool):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float, such as 10**400
-        return False
 
 
 def _check_finite(config) -> None:
@@ -183,18 +168,6 @@ class _PdTables:
         return known + post[:, 2:] * self.vs_fdt[:, signals]
 
 
-def pd_component_eu(config: PdConfig, shares, policy: PdPolicy, signal: int, action: str) -> float:
-    """Expected utility of answering ``signal`` with ``action``.
-
-    The opponent's type is the Bayes posterior given the signal. An FDT
-    opponent answers its own noisy signal about this agent using the same
-    policy, with the component under consideration forced to ``action``
-    (same function, same input, same output).
-    """
-    eus = config._tables.component_eus(shares, [signal])
-    return eus[_PD_POLICIES.index(tuple(policy)), 0, int(action == "C")]
-
-
 def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     """Best self-consistent signal -> action policy for the FDT type.
 
@@ -259,22 +232,6 @@ def pd_play_many(
 
 
 # ---------------------------------------------------------------------------
-# Transparent Newcomb
-# ---------------------------------------------------------------------------
-
-def newcomb_decision(theory: str, config: NewcombConfig) -> str:
-    """Would-be choice when both boxes are visibly full."""
-    if theory not in NEWCOMB_TYPES:
-        raise ValueError(f"unknown theory {theory!r}; expected one of {NEWCOMB_TYPES}")
-    if theory == "cdt":
-        return TWO_BOX
-    p, high, low = config.accuracy, config.high, config.low
-    one_box_eu = p * high + (1.0 - p) * low
-    two_box_eu = (1.0 - p) * (high + low) + p * low
-    return ONE_BOX if one_box_eu > two_box_eu else TWO_BOX
-
-
-# ---------------------------------------------------------------------------
 # Keynesian beauty contest
 # ---------------------------------------------------------------------------
 
@@ -336,15 +293,20 @@ class PdGame:
 
 
 class NewcombGame:
-    """Each agent plays one independent predictor round per round."""
+    """Each agent plays one independent predictor round per round.
+
+    A type's would-be choice is its theory's in the ``newcomb-transparent`` scenario.
+    """
 
     type_names = NEWCOMB_TYPES
 
     def __init__(self, config: NewcombConfig):
         self.config = config
+        problem = build("newcomb-transparent", high=config.high, low=config.low, accuracy=config.accuracy)
+        self.choices = tuple(decide(problem, theory).chosen for theory in NEWCOMB_TYPES)
         # Utility by 2 * (would one-box) + (prediction correct), and each type's when wrong or right.
         utility = np.array([config.high + config.low, config.low, config.low, config.high])
-        one_box = np.array([2 * (newcomb_decision(name, config) == ONE_BOX) for name in NEWCOMB_TYPES])
+        one_box = np.array([2 * (choice == "one-box") for choice in self.choices])
         self._wrong, self._right = utility[one_box], utility[one_box + 1]
 
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -17,6 +19,16 @@ import numpy as np
 NORMALIZATION_TOL = 1e-9
 
 Assignment = Mapping[str, str]
+
+
+def _is_finite_number(value) -> bool:
+    """A real number, not a bool, that is neither NaN nor infinite nor beyond the float range."""
+    if type(value) is float:  # the common case, without the slow abstract-class check below
+        return math.isfinite(value)
+    try:
+        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:  # an int too large for a float, such as 10**400
+        return False
 
 
 class ZeroProbabilityError(ValueError):
@@ -102,6 +114,8 @@ class DecisionProblem:
         object.__setattr__(self, "evidence", dict(self.evidence))
         if self.action_var not in self.model._domains:
             raise ValueError(f"action_var {self.action_var!r} is not a variable of the model")
+        if self.action_var not in self.model.cpts:
+            raise ValueError(f"variable {self.action_var!r} has no CPT")
         dfv = self.decision_fn_var
         if dfv is not None and not (
             dfv in self.model._domains

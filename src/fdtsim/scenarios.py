@@ -11,8 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable, NamedTuple
 
-from .games import _is_finite_number
-from .graphs import CausalModel, Cpt, DecisionProblem, Variable
+from .graphs import CausalModel, Cpt, DecisionProblem, Variable, _is_finite_number
 
 
 class ScenarioError(ValueError):
@@ -82,6 +81,21 @@ _SCENARIOS = {
         ),
         outcomes=("Action", "Prediction"),
         utility=lambda v: (v["big_box"], 0.0, v["big_box"] + v["small_box"], v["small_box"]),
+        action="Action",
+        decision_fn="Decision",
+    ),
+    # The Newcomb game's choice with both boxes in view: an agent facing an
+    # empty big box takes low. Two-box comes first, so a tie two-boxes.
+    "newcomb-transparent": _Scenario(
+        defaults=dict(high=10_000.0, low=1_000.0, accuracy=0.99, two_box_prior=0.5),
+        probabilities=("accuracy", "two_box_prior"),
+        nodes=lambda v: (
+            ("Decision", _BOXES[::-1], (), (v["two_box_prior"],)),
+            ("Action", _BOXES[::-1], ("Decision",), (1.0, 0.0)),
+            ("Prediction", _BOXES[::-1], ("Decision",), (v["accuracy"], 1.0 - v["accuracy"])),
+        ),
+        outcomes=("Action", "Prediction"),
+        utility=lambda v: (v["low"], v["high"] + v["low"], v["low"], v["high"]),
         action="Action",
         decision_fn="Decision",
     ),

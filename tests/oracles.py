@@ -7,7 +7,10 @@ same order and add each agent's utilities in the same order as the library
 kernels, so the tests compare the two for equal bytes and an equal final
 generator state, not just equal distributions. The PD analytics here (payoff
 table, component EUs, type EUs, policy solver) are scalar loops that share
-no code with the library's matrix form.
+no code with the library's matrix form, and the PD agent's choice is also
+posed as a causal graph for ``graphs.decide``. The Newcomb choice here is
+the closed form that the library takes from the ``newcomb-transparent``
+scenario instead.
 """
 import itertools
 from dataclasses import replace
@@ -15,19 +18,27 @@ from dataclasses import replace
 import numpy as np
 
 from fdtsim.beliefs import posteriors, signal_likelihoods
-from fdtsim.graphs import Cpt, EvaluationReport, MissingDecisionFunctionError, ZeroProbabilityError
+from fdtsim.graphs import (
+    CausalModel,
+    Cpt,
+    DecisionProblem,
+    EvaluationReport,
+    MissingDecisionFunctionError,
+    Variable,
+    ZeroProbabilityError,
+)
 from fdtsim.games import (
+    _PD_POLICIES,
     NEWCOMB_TYPES,
-    ONE_BOX,
     PD_COOPERATOR,
     PD_DEFECTOR,
     PD_FDT,
+    PD_TYPES,
     BEAUTY_CDT,
     BEAUTY_FDT,
     BEAUTY_RANDOM,
     NoFixedPointError,
     beauty_guesses,
-    newcomb_decision,
 )
 
 
@@ -67,6 +78,49 @@ def pd_component_eu(config, shares, policy, signal, action):
         + post[PD_COOPERATOR] * payoff(config, action, "C")
         + post[PD_FDT] * vs_fdt
     )
+
+
+def library_component_eu(config, shares, policy, signal, action):
+    """The library's EU of answering ``signal`` with ``action``: one entry of ``component_eus``."""
+    eus = config._tables.component_eus(shares, [signal])
+    return eus[_PD_POLICIES.index(tuple(policy)), 0, int(action == "C")]
+
+
+def pd_signal_problem(config, shares, policy, signal):
+    """An FDT agent's choice on receiving ``signal``, as a causal graph for ``graphs.decide``.
+
+    T is the opponent's type, with ``shares`` as its prior, and S my signal
+    about it, observed as ``signal``. DF is my decision function and A, my
+    action, copies it. O is the opponent's signal about me, an FDT agent,
+    and B the opponent's action: a Defector plays D and a Cooperator C. An
+    FDT opponent runs my function, so on O = ``signal`` it plays DF, and on
+    any other signal the policy's component for it.
+    """
+    p, actions = config.signal_accuracy, ("D", "C")
+    point = lambda action: tuple(float(a == action) for a in actions)
+
+    def opponent(t, o, df):
+        if t != PD_FDT:
+            return "C" if t == PD_COOPERATOR else "D"
+        return df if o == signal else policy[o]
+
+    cpts = [
+        Cpt("T", (), {(): tuple(map(float, shares))}),
+        Cpt("S", ("T",), {(PD_TYPES[t],): tuple(map(float, signal_dist(t, p))) for t in range(3)}),
+        Cpt("DF", (), {(): (0.5, 0.5)}),
+        Cpt("A", ("DF",), {(df,): point(df) for df in actions}),
+        Cpt("O", (), {(): tuple(map(float, signal_dist(PD_FDT, p)))}),
+        Cpt("B", ("T", "O", "DF"), {
+            (PD_TYPES[t], PD_TYPES[o], df): point(opponent(t, o, df))
+            for t, o, df in itertools.product(range(3), range(3), actions)
+        }),
+    ]
+    domains = dict(T=PD_TYPES, S=PD_TYPES, DF=actions, A=actions, O=PD_TYPES, B=actions)
+    utility = {(a, b): payoff(config, a, b) for a, b in itertools.product(actions, actions)}
+    model = CausalModel(
+        tuple(itertools.starmap(Variable, domains.items())), {c.child: c for c in cpts}, ("A", "B"), utility
+    )
+    return DecisionProblem(model, "A", "DF", {"S": PD_TYPES[signal]})
 
 
 def pd_expected_utilities(config, shares, policy):
@@ -205,9 +259,24 @@ def pd_play_generation(config, types, rounds, rng):
 # Transparent Newcomb
 # ---------------------------------------------------------------------------
 
+def newcomb_choice(theory, config):
+    """A type's would-be choice with both boxes visibly full; a tie two-boxes.
+
+    CDT's act cannot move the prediction, and two-boxing adds ``low`` to
+    either one. FDT's choice is what the predictor reads, right with
+    probability p.
+    """
+    if theory == "cdt":
+        return "two-box"
+    p, high, low = config.accuracy, config.high, config.low
+    one_box_eu = p * high + (1.0 - p) * low
+    two_box_eu = (1.0 - p) * (high + low) + p * low
+    return "one-box" if one_box_eu > two_box_eu else "two-box"
+
+
 def newcomb_play_round(theory, config, rng):
     """One predictor encounter; returns the realized utility."""
-    would_one_box = newcomb_decision(theory, config) == ONE_BOX
+    would_one_box = newcomb_choice(theory, config) == "one-box"
     correct = rng.random() < config.accuracy
     predicted_one_box = would_one_box if correct else not would_one_box
     if not predicted_one_box:
@@ -219,7 +288,7 @@ def newcomb_play_generation(config, types, rounds, rng):
     """``NewcombGame.play_generation`` as an inline (rounds, N) computation."""
     correct = rng.random((rounds, types.size)) < config.accuracy
     one_box_by_type = np.array(
-        [newcomb_decision(name, config) == ONE_BOX for name in NEWCOMB_TYPES]
+        [newcomb_choice(name, config) == "one-box" for name in NEWCOMB_TYPES]
     )
     would_one_box = one_box_by_type[types]
     predicted_one_box = would_one_box[None, :] == correct
@@ -386,12 +455,15 @@ def decide(problem, theory):
 # ---------------------------------------------------------------------------
 
 # Every (scenario, theory) pair with an answer; smoking-edt has no decision-function node.
+# The ``oneshot`` golden digest iterates this tuple, so a new scenario goes into
+# SCENARIO_PAIRS only.
 ONESHOT_PAIRS = tuple(
     (scenario, theory)
     for scenario in ("smoking-edt", "smoking-cdt", "newcomb", "parfit", "twin-pd")
     for theory in ("edt", "cdt", "fdt")
     if (scenario, theory) != ("smoking-edt", "fdt")
 )
+SCENARIO_PAIRS = ONESHOT_PAIRS + tuple(("newcomb-transparent", theory) for theory in ("edt", "cdt", "fdt"))
 
 
 def scenario_params(scenario, uniform):
@@ -413,6 +485,8 @@ def scenario_params(scenario, uniform):
     if scenario == "newcomb":
         return dict(accuracy=prob(), big_box=uniform(0.0, 1e7), small_box=uniform(0.0, 1e4),
                     two_box_prior=prior())
+    if scenario == "newcomb-transparent":
+        return dict(high=uniform(0.0, 1e7), low=uniform(0.0, 1e4), accuracy=prob(), two_box_prior=prior())
     if scenario == "parfit":
         return dict(accuracy=prob(), payment=uniform(0.0, 1e4), stranded_utility=uniform(-1e7, 0.0),
                     refuse_prior=prior())
@@ -441,6 +515,12 @@ def scenario_closed_form(scenario, theory, v):
             q = (1.0 - v["two_box_prior"]) * p + v["two_box_prior"] * (1.0 - p)
             return q * big, q * big + small
         return p * big, (1.0 - p) * (big + small) + p * small
+    if scenario == "newcomb-transparent":  # two-box first; facing an empty big box, take low
+        p, high, low = v["accuracy"], v["high"], v["low"]
+        if theory == "cdt":  # the prediction follows the prior disposition, not the act
+            q = (1.0 - v["two_box_prior"]) * p + v["two_box_prior"] * (1.0 - p)
+            return q * (high + low) + (1.0 - q) * low, q * high + (1.0 - q) * low
+        return (1.0 - p) * (high + low) + p * low, p * high + (1.0 - p) * low
     if scenario == "parfit":
         p, pay, stranded = v["accuracy"], v["payment"], v["stranded_utility"]
         if theory == "cdt":  # the driver reads the prior disposition, not the act

@@ -26,7 +26,6 @@ from fdtsim.games import (
     PdConfig,
     PdGame,
     beauty_guesses,
-    pd_component_eu,
     pd_expected_utilities,
     solve_fdt_pd_policy,
 )
@@ -34,7 +33,7 @@ from fdtsim.graphs import decide
 from fdtsim.scenarios import build
 
 import mean_field
-from oracles import payoff
+from oracles import library_component_eu, payoff
 from test_games import oracle_type_eus
 
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -113,8 +112,8 @@ def test_criterion_06_policy_solver_baseline():
     policy = solve_fdt_pd_policy(config, THIRDS)
     ok = policy == ("D", "D", "C")
     for a0, a1 in itertools.product("DC", repeat=2):
-        eu_c = pd_component_eu(config, THIRDS, (a0, a1, "C"), 2, "C")
-        eu_d = pd_component_eu(config, THIRDS, (a0, a1, "D"), 2, "D")
+        eu_c = library_component_eu(config, THIRDS, (a0, a1, "C"), 2, "C")
+        eu_d = library_component_eu(config, THIRDS, (a0, a1, "D"), 2, "D")
         cross_c = payoff(config, "C", a0) + payoff(config, "C", a1)
         cross_d = payoff(config, "D", a0) + payoff(config, "D", a1)
         ok &= abs(eu_c - 0.045 * cross_c - 6.07) < 1e-9
@@ -159,8 +158,8 @@ def test_criterion_07_signal_threshold():
         for held in ("C", "D"):  # the component is forced to the action
             policy = ("D", "D", held)
             worst = max(worst,
-                        abs(pd_component_eu(config, THIRDS, policy, 2, "C") - eu_c),
-                        abs(pd_component_eu(config, THIRDS, policy, 2, "D") - eu_d))
+                        abs(library_component_eu(config, THIRDS, policy, 2, "C") - eu_c),
+                        abs(library_component_eu(config, THIRDS, policy, 2, "D") - eu_d))
         cooperates = solve_fdt_pd_policy(config, THIRDS)[2] == "C"
         ok &= cooperates == (eu_c > eu_d)
         if cooperates and first is None:

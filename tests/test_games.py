@@ -7,12 +7,10 @@ from hypothesis import given, settings, strategies as st
 from fdtsim.games import (
     BEAUTY_TYPES,
     NEWCOMB_TYPES,
-    ONE_BOX,
     PD_COOPERATOR,
     PD_DEFECTOR,
     PD_FDT,
     PD_TYPES,
-    TWO_BOX,
     BeautyConfig,
     BeautyGame,
     NewcombConfig,
@@ -20,14 +18,12 @@ from fdtsim.games import (
     PdConfig,
     PdGame,
     beauty_guesses,
-    newcomb_decision,
-    pd_component_eu,
     pd_expected_utilities,
     pd_play_many,
     solve_fdt_pd_policy,
 )
 
-from oracles import payoff, pd_play_round, signal_dist
+from oracles import library_component_eu, newcomb_choice, payoff, pd_play_round, signal_dist
 
 BASELINE = PdConfig()
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -135,12 +131,12 @@ def test_component_eu_affine_structure():
     # 0.045 times the payoffs against the other two policy components.
     for a0, a1 in itertools.product("DC", repeat=2):
         pol_c = (a0, a1, "C")
-        eu_c = pd_component_eu(BASELINE, THIRDS, pol_c, 2, "C")
+        eu_c = library_component_eu(BASELINE, THIRDS, pol_c, 2, "C")
         cross = payoff(BASELINE, "C", a0) + payoff(BASELINE, "C", a1)
         assert eu_c - 0.045 * cross == pytest.approx(6.07, abs=1e-9)
 
         pol_d = (a0, a1, "D")
-        eu_d = pd_component_eu(BASELINE, THIRDS, pol_d, 2, "D")
+        eu_d = library_component_eu(BASELINE, THIRDS, pol_d, 2, "D")
         cross = payoff(BASELINE, "D", a0) + payoff(BASELINE, "D", a1)
         assert eu_d - 0.045 * cross == pytest.approx(3.94, abs=1e-9)
 
@@ -150,9 +146,9 @@ def test_solved_policy_is_component_wise_stable():
         config = PdConfig(signal_accuracy=p)
         policy = solve_fdt_pd_policy(config, THIRDS)
         for s in range(3):
-            held = pd_component_eu(config, THIRDS, policy, s, policy[s])
+            held = library_component_eu(config, THIRDS, policy, s, policy[s])
             other = "C" if policy[s] == "D" else "D"
-            alt = pd_component_eu(config, THIRDS, policy, s, other)
+            alt = library_component_eu(config, THIRDS, policy, s, other)
             assert held >= alt - 1e-12
 
 
@@ -184,16 +180,27 @@ def test_play_many_matches_analytic_mean():
         assert abs(mine.mean() - expect) < 4 * se + 1e-9
 
 
-def test_newcomb_decision_threshold_oracle():
+def test_newcomb_game_choices_match_threshold_oracle():
     for high in (2.0, 10.0, 1e4, 1e6):
         for low in (1.0, high / 2):
             for p in np.linspace(0.0, 1.0, 101):
                 config = NewcombConfig(high=high, low=low, accuracy=p)
-                one_eu = p * high + (1 - p) * low
-                two_eu = (1 - p) * (high + low) + p * low
-                expected = ONE_BOX if one_eu > two_eu else TWO_BOX
-                assert newcomb_decision("fdt", config) == expected
-                assert newcomb_decision("cdt", config) == TWO_BOX
+                expected = tuple(newcomb_choice(name, config) for name in NEWCOMB_TYPES)
+                assert NewcombGame(config).choices == expected
+
+
+@pytest.mark.parametrize(
+    "high, low, accuracy, fdt_choice",
+    [
+        (3.0, 2.0, 0.75, "two-box"),  # the exact tie: both EUs are 2.75
+        (1e4, 1e3, 0.0, "two-box"),
+        (1e4, 1e3, 1.0, "one-box"),
+    ],
+)
+def test_newcomb_game_choices_at_the_tie_and_the_ends(high, low, accuracy, fdt_choice):
+    config = NewcombConfig(high=high, low=low, accuracy=accuracy)
+    assert newcomb_choice("fdt", config) == fdt_choice
+    assert NewcombGame(config).choices == ("two-box", fdt_choice)
 
 
 def test_newcomb_perfect_predictor_is_deterministic():

@@ -116,6 +116,11 @@ def make_problem(model, **kwargs):
     return DecisionProblem(model=model, action_var="A", **kwargs)
 
 
+def model_without_cpt(scenario, var):
+    model = build(scenario).model
+    return replace(model, cpts={vid: cpt for vid, cpt in model.cpts.items() if vid != var})
+
+
 @pytest.mark.parametrize(
     "scenario, changes, field",
     [
@@ -127,6 +132,7 @@ def make_problem(model, **kwargs):
         ("newcomb", dict(evidence={"Predicton": "one-box"}), "evidence"),
         ("newcomb", dict(evidence={"Prediction": "three-box"}), "evidence"),
         ("newcomb", dict(action_var="Choice"), "action_var"),
+        ("newcomb", dict(model=model_without_cpt("newcomb", "Action")), "'Action' has no CPT"),
     ],
 )
 def test_decision_problem_rejects_broken_invariants(scenario, changes, field):
@@ -199,9 +205,7 @@ def test_decide_rejects_unknown_theory(theory):
 
 
 def test_variable_without_cpt_is_named():
-    problem = build("newcomb")
-    cpts = {vid: cpt for vid, cpt in problem.model.cpts.items() if vid != "Prediction"}
-    problem = replace(problem, model=replace(problem.model, cpts=cpts))
+    problem = replace(build("newcomb"), model=model_without_cpt("newcomb", "Prediction"))
     for theory in ("edt", "cdt", "fdt"):
         with pytest.raises(ValueError, match="'Prediction' has no CPT"):
             decide(problem, theory)

@@ -31,7 +31,6 @@ from fdtsim.games import (
     NoFixedPointError,
     PdConfig,
     PdGame,
-    pd_component_eu,
     solve_fdt_pd_policy,
 )
 
@@ -182,12 +181,63 @@ def test_component_eu_matches_oracle(config, weights):
         for signal in range(3):
             for action in "DC":
                 args = (config, shares, policy, signal, action)
-                got = solver_outcome(pd_component_eu, *args)
+                got = solver_outcome(oracles.library_component_eu, *args)
                 want = solver_outcome(oracles.pd_component_eu, *args)
                 if isinstance(want, type):
                     assert got is want
                 else:
                     assert abs(got - want) <= 1e-12
+
+
+# Tolerance of the PD graph oracle, in units of the largest payoff M. Both
+# sides start from the same likelihoods and shares. The graph's EU is
+# sum(w * u) / sum(w) over at most 9 assignments, and each weight w takes 2
+# rounded products. The numerator takes at most 3 + 8 roundings, the
+# denominator 2 + 8 and the division 1: 22, each at most u = 2**-53
+# relative. The library's posterior, 3-term sums, product and two additions
+# take about 10 more. The graph also divides by the opponent's signal
+# distribution, whose floats sum to 1 only within 3u. That is 35u in all,
+# rounded up to 64u; the largest error seen over 300 random draws was 4.4u.
+# The bound holds only while the weights are normal floats, so a signal sent
+# with probability below 2**-900 is not compared: at accuracy 2.2e-313
+# against Defectors alone, the graph's EU of D is 1.5 + 2.2e-11, where the
+# library's is exactly 1.5.
+PD_GRAPH_TOL = 64 * 2.0**-53
+
+
+@given(pd_configs(), share_weights)
+@settings(max_examples=200, deadline=None)
+@example(PdConfig(signal_accuracy=1 / 3), [1.0, 1.0, 1.0])
+@example(PdConfig(signal_accuracy=1.0), [0.5, 0.5, 0.0])  # signal 2 is unreachable
+@example(PdConfig(signal_accuracy=0.0), [0.0, 0.0, 1.0])  # signal 2 is unreachable
+def test_pd_graph_oracle_matches_component_eus_and_solver(config, weights):
+    # The signal PD's FDT reasoning as a causal graph, scored by graphs.decide.
+    shares = normalized(weights)
+    tol = PD_GRAPH_TOL * max(config.cc, config.cd, config.dc, config.dd)
+    signal_dists = [oracles.signal_dist(t, config.signal_accuracy) for t in range(3)]
+    sent = [any(shares[t] > 0.0 and signal_dists[t][s] > 0.0 for t in range(3)) for s in range(3)]
+    normal = [sum(shares[t] * signal_dists[t][s] for t in range(3)) >= 2.0**-900 for s in range(3)]
+    for policy in itertools.product("DC", repeat=3):
+        for signal in range(3):
+            problem = oracles.pd_signal_problem(config, shares, policy, signal)
+            if not sent[signal]:  # no posterior on either side
+                assert scoring_outcome(graphs.decide, problem, "fdt") is graphs.ZeroProbabilityError
+                assert solver_outcome(oracles.library_component_eu, config, shares, policy, signal, "C") \
+                    is AllZeroPosteriorError
+            if not normal[signal]:
+                continue
+            eus = graphs.decide(problem, "fdt").expected_utility
+            for action in "DC":
+                want = oracles.library_component_eu(config, shares, policy, signal, action)
+                assert abs(eus[action] - want) <= tol
+    # Each component of the solved policy is a best response to within 2 tol,
+    # so where the graph chooses otherwise, its two EUs tie.
+    policy = solver_outcome(solve_fdt_pd_policy, config, shares)
+    if policy is not NoFixedPointError:
+        for signal in np.flatnonzero(normal):
+            report = graphs.decide(oracles.pd_signal_problem(config, shares, policy, signal), "fdt")
+            eus = report.expected_utility
+            assert report.chosen == policy[signal] or abs(eus["C"] - eus["D"]) <= 2 * tol
 
 
 @given(pd_configs(), st.sampled_from([0.0, 1.0]), share_weights, st.integers(0, 2))

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from fdtsim.graphs import decide, validate_model
 from fdtsim.scenarios import SCENARIO_IDS, ScenarioError, build
-from oracles import ONESHOT_PAIRS, scenario_closed_form, scenario_params
+from oracles import SCENARIO_PAIRS, scenario_closed_form, scenario_params
 
 # (scenario, theory) -> expected choice at default parameters
 EXPECTED_CHOICES = {
@@ -15,6 +15,9 @@ EXPECTED_CHOICES = {
     ("newcomb", "edt"): "one-box",
     ("newcomb", "cdt"): "two-box",
     ("newcomb", "fdt"): "one-box",
+    ("newcomb-transparent", "edt"): "one-box",
+    ("newcomb-transparent", "cdt"): "two-box",
+    ("newcomb-transparent", "fdt"): "one-box",
     ("parfit", "edt"): "pay",
     ("parfit", "cdt"): "refuse",
     ("parfit", "fdt"): "pay",
@@ -43,6 +46,13 @@ def test_newcomb_values():
     report = decide(build("newcomb", two_box_prior=1.0), "cdt")
     assert report.chosen == "two-box"
     assert report.expected_utility["two-box"] == pytest.approx(11_000.0)
+
+
+def test_newcomb_transparent_tie_two_boxes():
+    # Both FDT EUs are exactly 2.75 here, and a tie goes to the first action.
+    report = decide(build("newcomb-transparent", high=3, low=2, accuracy=0.75), "fdt")
+    assert report.expected_utility == {"two-box": 2.75, "one-box": 2.75}
+    assert report.chosen == "two-box"
 
 
 def test_parfit_values():
@@ -111,7 +121,7 @@ def test_non_number_overrides_rejected(value):
 
 
 @settings(max_examples=300, deadline=None)
-@given(pair=st.sampled_from(ONESHOT_PAIRS), data=st.data())
+@given(pair=st.sampled_from(SCENARIO_PAIRS), data=st.data())
 def test_every_pair_matches_its_closed_form(pair, data):
     # The closed forms are derived from each scenario's graph by hand, so a CPT
     # row listed in the wrong parent order changes some pair's EUs.
