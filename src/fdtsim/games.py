@@ -293,10 +293,7 @@ class PdGame:
 
 
 class NewcombGame:
-    """Each agent plays one independent predictor round per round.
-
-    A type's would-be choice is its theory's in the ``newcomb-transparent`` scenario.
-    """
+    """Each agent plays one independent predictor round per round."""
 
     type_names = NEWCOMB_TYPES
 

@@ -25,8 +25,10 @@ def _is_finite_number(value) -> bool:
     """A real number, not a bool, that is neither NaN nor infinite nor beyond the float range."""
     if type(value) is float:  # the common case, without the slow abstract-class check below
         return math.isfinite(value)
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
     try:
-        return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        return math.isfinite(value)
     except OverflowError:  # an int too large for a float, such as 10**400
         return False
 

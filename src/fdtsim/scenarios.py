@@ -87,10 +87,10 @@ _SCENARIOS = {
     # The Newcomb game's choice with both boxes in view: an agent facing an
     # empty big box takes low. Two-box comes first, so a tie two-boxes.
     "newcomb-transparent": _Scenario(
-        defaults=dict(high=10_000.0, low=1_000.0, accuracy=0.99, two_box_prior=0.5),
-        probabilities=("accuracy", "two_box_prior"),
+        defaults=dict(high=10_000.0, low=1_000.0, accuracy=0.99),
+        probabilities=("accuracy",),
         nodes=lambda v: (
-            ("Decision", _BOXES[::-1], (), (v["two_box_prior"],)),
+            ("Decision", _BOXES[::-1], (), (0.5,)),
             ("Action", _BOXES[::-1], ("Decision",), (1.0, 0.0)),
             ("Prediction", _BOXES[::-1], ("Decision",), (v["accuracy"], 1.0 - v["accuracy"])),
         ),

@@ -486,7 +486,7 @@ def scenario_params(scenario, uniform):
         return dict(accuracy=prob(), big_box=uniform(0.0, 1e7), small_box=uniform(0.0, 1e4),
                     two_box_prior=prior())
     if scenario == "newcomb-transparent":
-        return dict(high=uniform(0.0, 1e7), low=uniform(0.0, 1e4), accuracy=prob(), two_box_prior=prior())
+        return dict(high=uniform(0.0, 1e7), low=uniform(0.0, 1e4), accuracy=prob())
     if scenario == "parfit":
         return dict(accuracy=prob(), payment=uniform(0.0, 1e4), stranded_utility=uniform(-1e7, 0.0),
                     refuse_prior=prior())
@@ -517,9 +517,8 @@ def scenario_closed_form(scenario, theory, v):
         return p * big, (1.0 - p) * (big + small) + p * small
     if scenario == "newcomb-transparent":  # two-box first; facing an empty big box, take low
         p, high, low = v["accuracy"], v["high"], v["low"]
-        if theory == "cdt":  # the prediction follows the prior disposition, not the act
-            q = (1.0 - v["two_box_prior"]) * p + v["two_box_prior"] * (1.0 - p)
-            return q * (high + low) + (1.0 - q) * low, q * high + (1.0 - q) * low
+        if theory == "cdt":  # the prediction reads the fair-coin disposition, not the act
+            return 0.5 * (high + low) + 0.5 * low, 0.5 * high + 0.5 * low
         return (1.0 - p) * (high + low) + p * low, p * high + (1.0 - p) * low
     if scenario == "parfit":
         p, pay, stranded = v["accuracy"], v["payment"], v["stranded_utility"]
