@@ -9,9 +9,6 @@ from .graphs import (
     EvaluationReport,
     Variable,
     decide,
-    evaluate_cdt,
-    evaluate_edt,
-    evaluate_fdt,
     infer,
     validate_model,
 )
@@ -26,9 +23,6 @@ __all__ = [
     "Variable",
     "build",
     "decide",
-    "evaluate_cdt",
-    "evaluate_edt",
-    "evaluate_fdt",
     "infer",
     "validate_model",
 ]

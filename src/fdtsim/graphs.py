@@ -159,18 +159,20 @@ def _check_evidence(model: CausalModel, evidence: Assignment) -> None:
 def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
     """The topological order of ``shape``'s (id, parents) pairs, and each node's parent positions in it.
 
-    Kahn's algorithm, each level in sorted order; raises ValueError if the
-    parent graph has a cycle. The results are tuples, so no caller can change a cached one.
+    Kahn's algorithm, each level in sorted order; raises ValueError on a
+    dangling parent or a cycle. The results are tuples, so no caller can change a cached one.
     """
-    remaining = {vid: set(parents) for vid, parents in shape}
+    parents = dict(shape)
+    remaining = {vid: set(deps) for vid, deps in shape}
     order: list[str] = []
     while remaining:
         free = sorted(vid for vid, deps in remaining.items() if not deps)
         if not free:
+            if dangling := next(((vid, p) for vid, deps in shape for p in deps if p not in parents), None):
+                raise ValueError("variable {!r}: dangling parent reference {!r}".format(*dangling))
             raise ValueError("parent graph contains a cycle")
         order += free
         remaining = {vid: deps.difference(free) for vid, deps in remaining.items() if deps}
-    parents = dict(shape)
     return tuple(order), tuple(tuple(map(order.index, parents[vid])) for vid in order)
 
 
@@ -181,7 +183,8 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
     its CPT entries taken root first. Assignments come in lexicographic
     order of (node in topological order, label in domain order); a branch
     ends at the first entry that is not positive or the first label that
-    contradicts the evidence.
+    contradicts the evidence. A missing CPT, a row of the wrong length and
+    a missing row that an assignment reaches raise ValueError naming the variable.
     """
     try:
         shape = tuple((vid, cpts[vid].parents) for vid in model._domains)
@@ -190,17 +193,23 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
     order, positions = _structure(shape)
     states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
     for vid, pos in zip(order, positions):
-        cpt, want = cpts[vid], evidence.get(vid)
-        rows = {
-            key: [(label, p) for label, p in zip(model._domains[vid], row)
-                  if not p <= 0.0 and want in (None, label)]
-            for key, row in cpt.table.items()
-        }
-        states = [
-            (asg + (label,), prob * p)
-            for asg, prob in states
-            for label, p in rows[tuple(map(asg.__getitem__, pos))]
-        ]
+        cpt, want, domain = cpts[vid], evidence.get(vid), model._domains[vid]
+        try:
+            rows = {
+                key: [(label, p) for label, p in zip(domain, row, strict=True)
+                      if not p <= 0.0 and want in (None, label)]
+                for key, row in cpt.table.items()
+            }
+            states = [
+                (asg + (label,), prob * p)
+                for asg, prob in states
+                for label, p in rows[tuple(map(asg.__getitem__, pos))]
+            ]
+        except ValueError:  # from zip: a row longer or shorter than the domain
+            key = next(key for key, row in cpt.table.items() if len(row) != len(domain))
+            raise ValueError(f"variable {vid!r}: row {key} has wrong arity") from None
+        except KeyError as missing:
+            raise ValueError(f"variable {vid!r}: missing row for parents {missing.args[0]}") from None
     return order, states
 
 
@@ -286,8 +295,8 @@ def _interventions(act: str, dfv: str | None, actions: tuple[str, ...]) -> tuple
     return (dfv, Cpt(dfv, (), ones)), (act, Cpt(act, (dfv,), copy))
 
 
-def _scores(problem: DecisionProblem, theory: str) -> dict[str, float | Exception]:
-    """Every action's expected utility under ``theory``, or the error scoring it alone raises.
+def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
+    """Every action's expected utility under ``theory``; raises the first unscorable action's error.
 
     One enumeration serves all actions. EDT drops any evidence on the action
     and splits the joint by action label. CDT makes the action node a root,
@@ -307,7 +316,11 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float | Exceptio
     else:
         cpts.update(_interventions(act, problem.decision_fn_var if theory == "fdt" else None, actions))
     order, states = _enumerate(model, cpts, evidence)
-    at, outcome_at = order.index(act), [order.index(ov) for ov in model.outcome_vars]
+    try:
+        at, outcome_at = order.index(act), [order.index(ov) for ov in model.outcome_vars]
+    except ValueError:
+        unknown = next(ov for ov in model.outcome_vars if ov not in order)
+        raise ValueError(f"outcome variable {unknown!r} not in model") from None
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
     for asg, p in states:
         action, outcome = asg[at], tuple(map(asg.__getitem__, outcome_at))
@@ -316,46 +329,13 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float | Exceptio
             missing.setdefault(action, outcome)
         else:
             accs[action] += p * u
-    scores: dict[str, float | Exception] = {}
     for action in actions:
         if totals[action] <= 0.0:
-            scores[action] = ZeroProbabilityError(
-                f"action {action!r} with evidence {evidence} has probability zero"
-            )
-        elif action in missing:
-            scores[action] = KeyError(f"no utility entry for outcome {missing[action]}")
-        else:
-            scores[action] = accs[action] / totals[action]
-    return scores
-
-
-def _evaluate(problem: DecisionProblem, theory: str, action: str) -> float:
-    scores = _scores(problem, theory)
-    if action not in scores:
-        raise ValueError(f"action {action!r} not in domain {problem.actions} of {problem.action_var!r}")
-    if isinstance(eu := scores[action], Exception):
-        raise eu
-    return eu
-
-
-def evaluate_edt(problem: DecisionProblem, action: str) -> float:
-    """Expected utility of conditioning on the action as plain evidence."""
-    return _evaluate(problem, "edt", action)
-
-
-def evaluate_cdt(problem: DecisionProblem, action: str) -> float:
-    """Expected utility after forcing the action node (parents severed)."""
-    return _evaluate(problem, "cdt", action)
-
-
-def evaluate_fdt(problem: DecisionProblem, action: str) -> float:
-    """Expected utility after forcing the decision-function node's output.
-
-    The action node keeps only the decision-function node as parent and
-    copies its value; every other descendant of the decision-function node
-    updates through its unchanged CPT.
-    """
-    return _evaluate(problem, "fdt", action)
+            raise ZeroProbabilityError(f"action {action!r} with evidence {evidence} has probability zero")
+        if action in missing:
+            raise KeyError(f"no utility entry for outcome {missing[action]}")
+        accs[action] /= totals[action]
+    return accs
 
 
 THEORIES = ("cdt", "edt", "fdt")
@@ -370,7 +350,5 @@ def decide(problem: DecisionProblem, theory: str) -> EvaluationReport:
     if (name := theory.lower() if isinstance(theory, str) else None) not in THEORIES:
         raise ValueError(f"unknown theory {theory!r}; expected one of {list(THEORIES)}")
     eus = _scores(problem, name)
-    if errors := [eu for eu in eus.values() if isinstance(eu, Exception)]:
-        raise errors[0]
     # max keeps the first of equal maxima, as it replaces only on a strictly greater EU.
     return EvaluationReport(expected_utility=eus, chosen=max(problem.actions, key=eus.__getitem__))

@@ -135,6 +135,19 @@ def test_scenario_command_rejects_repeated_override(capsys):
     assert "accuracy" in captured.err
 
 
+# A prior of 1 leaves the other action with probability zero, which EDT cannot condition on.
+@pytest.mark.parametrize("argv, action", [
+    (["scenario", "smoking-edt", "--smoke-prior", "1", "--theory", "edt"], "'not-smoke'"),
+    (["scenario", "newcomb", "--two-box-prior", "1", "--theory", "edt"], "'one-box'"),
+])
+def test_scenario_zero_probability_action_exits_1_naming_it(argv, action, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert action in captured.err
+
+
 # Every single-valued flag, given twice (abbreviated, with ``=``, or with the
 # same value both times), is an error, not a silent last-value-wins. The runs
 # are small, so a regression fails fast instead of running a preset in full.

@@ -1,9 +1,12 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import fdtsim
 import oracles
 from fdtsim import graphs
 from fdtsim.graphs import (
@@ -14,9 +17,6 @@ from fdtsim.graphs import (
     Variable,
     ZeroProbabilityError,
     decide,
-    evaluate_cdt,
-    evaluate_edt,
-    evaluate_fdt,
     infer,
     validate_model,
 )
@@ -143,20 +143,14 @@ def test_decision_problem_rejects_broken_invariants(scenario, changes, field):
 def test_edt_equals_cdt_for_root_action():
     # The action node has no parents, so conditioning and intervening agree.
     problem = make_problem(chain_model())
+    edt, cdt = (decide(problem, theory).expected_utility for theory in ("edt", "cdt"))
     for action in BOOL:
-        assert evaluate_edt(problem, action) == pytest.approx(
-            evaluate_cdt(problem, action), abs=1e-12
-        )
+        assert edt[action] == pytest.approx(cdt[action], abs=1e-12)
 
 
 def test_fdt_requires_decision_function_node():
     with pytest.raises(MissingDecisionFunctionError):
-        evaluate_fdt(make_problem(chain_model()), "yes")
-
-
-def test_unknown_action_rejected():
-    with pytest.raises(ValueError):
-        evaluate_edt(make_problem(chain_model()), "maybe")
+        decide(make_problem(chain_model()), "fdt")
 
 
 def test_decide_ties_break_to_first_action():
@@ -175,27 +169,20 @@ def action_only_problem(prior, utility):
 
 
 @pytest.mark.parametrize(
-    "prior, utility, errors",
+    "prior, utility, error, message",
     [
-        # "no" has probability zero; "yes" still scores.
-        ((1.0, 0.0), {("yes",): 1.0, ("no",): 2.0}, {"no": ZeroProbabilityError}),
-        # "yes" lacks a utility entry; "no" still scores.
-        ((0.5, 0.5), {("no",): 2.0}, {"yes": KeyError}),
-        # Both fail; decide raises the error of the first action in domain order.
-        ((0.0, 1.0), {("yes",): 1.0}, {"yes": ZeroProbabilityError, "no": KeyError}),
-        ((1.0, 0.0), {("no",): 2.0}, {"yes": KeyError, "no": ZeroProbabilityError}),
+        # "no" has probability zero, though "yes" alone would score.
+        ((1.0, 0.0), {("yes",): 1.0, ("no",): 2.0}, ZeroProbabilityError, "'no'"),
+        # "yes" lacks a utility entry, though "no" alone would score.
+        ((0.5, 0.5), {("no",): 2.0}, KeyError, "'yes'"),
+        # Both fail; the error is that of the first action in domain order.
+        ((0.0, 1.0), {("yes",): 1.0}, ZeroProbabilityError, "'yes'"),
+        ((1.0, 0.0), {("no",): 2.0}, KeyError, "'yes'"),
     ],
 )
-def test_scoring_errors_stay_per_action(prior, utility, errors):
-    problem = action_only_problem(prior, utility)
-    for action in BOOL:
-        if action in errors:
-            with pytest.raises(errors[action]):
-                evaluate_edt(problem, action)
-        else:
-            assert evaluate_edt(problem, action) == {"yes": 1.0, "no": 2.0}[action]
-    with pytest.raises(errors[next(a for a in BOOL if a in errors)]):
-        decide(problem, "edt")
+def test_decide_raises_the_first_unscorable_actions_error(prior, utility, error, message):
+    with pytest.raises(error, match=message):
+        decide(action_only_problem(prior, utility), "edt")
 
 
 @pytest.mark.parametrize("theory", ["tdt", None, 3])
@@ -211,6 +198,66 @@ def test_variable_without_cpt_is_named():
             decide(problem, theory)
     with pytest.raises(ValueError, match="'Prediction' has no CPT"):
         infer(problem.model, {}, "Action")
+
+
+NEWCOMB = build("newcomb")
+PREDICTION_ROWS = NEWCOMB.model.cpts["Prediction"].table
+
+
+def with_prediction(parents, table):
+    """The Newcomb model with another Prediction CPT."""
+    return replace(NEWCOMB.model, cpts={**NEWCOMB.model.cpts, "Prediction": Cpt("Prediction", parents, table)})
+
+
+# Each malformed model's reads raise a ValueError naming the variable at
+# fault, worded as validate_model's diagnostic. infer reads no outcome variable.
+MALFORMED = {
+    "missing-row": (
+        with_prediction(("Decision",), {("one-box",): PREDICTION_ROWS[("one-box",)]}),
+        "variable 'Prediction': missing row for parents ('two-box',)",
+    ),
+    "short-row": (
+        with_prediction(("Decision",), {key: row[:1] for key, row in PREDICTION_ROWS.items()}),
+        "variable 'Prediction': row ('one-box',) has wrong arity",
+    ),
+    "long-row": (
+        with_prediction(("Decision",), {key: row + (0.0,) for key, row in PREDICTION_ROWS.items()}),
+        "variable 'Prediction': row ('one-box',) has wrong arity",
+    ),
+    "dangling-parent": (
+        with_prediction(("Decison",), PREDICTION_ROWS),
+        "variable 'Prediction': dangling parent reference 'Decison'",
+    ),
+    "unknown-outcome": (
+        replace(NEWCOMB.model, outcome_vars=("Action", "Predicton")),
+        "outcome variable 'Predicton' not in model",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, scorer", [
+    (case, scorer)
+    for case in sorted(MALFORMED)
+    for scorer in ("edt", "cdt", "fdt", "infer")
+    if (case, scorer) != ("unknown-outcome", "infer")
+])
+def test_malformed_model_raises_value_error_naming_the_variable(case, scorer):
+    model, message = MALFORMED[case]
+    assert message in validate_model(model)
+    with pytest.raises(ValueError) as info:
+        if scorer == "infer":
+            infer(model, {}, "Action")
+        else:
+            decide(replace(NEWCOMB, model=model), scorer)
+    assert str(info.value) == message and type(info.value) is ValueError
+
+
+def test_package_exports_exactly_what_it_imports():
+    tree = ast.parse(Path(fdtsim.__file__).read_text())
+    imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert sorted(fdtsim.__all__) == sorted(imported)
+    for name in fdtsim.__all__:
+        assert getattr(fdtsim, name) is not None
 
 
 def reversed_chain_model():
@@ -316,10 +363,9 @@ def test_fdt_equals_cdt_when_decision_node_has_single_dependent(seed):
     problem = DecisionProblem(
         model=model, action_var="Action", decision_fn_var="Decision"
     )
+    fdt, cdt = (decide(problem, theory).expected_utility for theory in ("fdt", "cdt"))
     for action in BOOL:
-        assert evaluate_fdt(problem, action) == pytest.approx(
-            evaluate_cdt(problem, action), abs=1e-12
-        )
+        assert fdt[action] == pytest.approx(cdt[action], abs=1e-12)
 
 
 @given(seed=st.integers(0, 10_000))
