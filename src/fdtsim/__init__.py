@@ -10,7 +10,6 @@ from .graphs import (
     Variable,
     decide,
     infer,
-    validate_model,
 )
 from .scenarios import SCENARIO_IDS, build
 
@@ -24,5 +23,4 @@ __all__ = [
     "build",
     "decide",
     "infer",
-    "validate_model",
 ]

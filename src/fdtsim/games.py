@@ -301,10 +301,10 @@ class NewcombGame:
         self.config = config
         problem = build("newcomb-transparent", high=config.high, low=config.low, accuracy=config.accuracy)
         self.choices = tuple(decide(problem, theory).chosen for theory in NEWCOMB_TYPES)
-        # Utility by 2 * (would one-box) + (prediction correct), and each type's when wrong or right.
-        utility = np.array([config.high + config.low, config.low, config.low, config.high])
-        one_box = np.array([2 * (choice == "one-box") for choice in self.choices])
-        self._wrong, self._right = utility[one_box], utility[one_box + 1]
+        # Each type's utility when the prediction is wrong or right; as floats, no int64 sum can wrap.
+        utility, other = problem.model.utility, dict(zip(problem.actions, problem.actions[::-1]))
+        self._wrong = np.array([utility[choice, other[choice]] for choice in self.choices])
+        self._right = np.array([utility[choice, choice] for choice in self.choices])
 
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
         """Each agent's utility over ``rounds`` encounters, one uniform per agent per round.

@@ -8,15 +8,12 @@ node and propagating to everything downstream of it (functional).
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-
-NORMALIZATION_TOL = 1e-9
 
 Assignment = Mapping[str, str]
 
@@ -211,62 +208,6 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
         except KeyError as missing:
             raise ValueError(f"variable {vid!r}: missing row for parents {missing.args[0]}") from None
     return order, states
-
-
-def validate_model(model: CausalModel) -> list[str]:
-    """Return one diagnostic string per invariant violation; empty if valid."""
-    diags: list[str] = []
-    ids = [v.id for v in model.variables]
-    if len(set(ids)) != len(ids):
-        diags.append("duplicate variable ids")
-    for v in model.variables:
-        if len(v.domain) < 2:
-            diags.append(f"variable {v.id!r}: domain has fewer than 2 values")
-        if len(set(v.domain)) != len(v.domain):
-            diags.append(f"variable {v.id!r}: duplicate domain labels")
-    id_set = set(ids)
-    for vid in ids:
-        if vid not in model.cpts:
-            diags.append(f"variable {vid!r}: missing CPT")
-    for child, cpt in model.cpts.items():
-        if child not in id_set:
-            diags.append(f"CPT references unknown variable {child!r}")
-            continue
-        dangling = [p for p in cpt.parents if p not in id_set]
-        for p in dangling:
-            diags.append(f"variable {child!r}: dangling parent reference {p!r}")
-        if dangling:
-            continue
-        domain = model.domain(child)
-        expected_keys = set(itertools.product(*(model.domain(p) for p in cpt.parents)))
-        for key in expected_keys - set(cpt.table):
-            diags.append(f"variable {child!r}: missing row for parents {key}")
-        for key, row in cpt.table.items():
-            if key not in expected_keys:
-                diags.append(f"variable {child!r}: spurious row {key}")
-                continue
-            if len(row) != len(domain):
-                diags.append(f"variable {child!r}: row {key} has wrong arity")
-                continue
-            if any(p < 0.0 or p > 1.0 for p in row):
-                diags.append(f"variable {child!r}: row {key} has entries outside [0, 1]")
-            if abs(sum(row) - 1.0) > NORMALIZATION_TOL:
-                diags.append(f"variable {child!r}: row {key} not normalized")
-    for ov in model.outcome_vars:
-        if ov not in id_set:
-            diags.append(f"outcome variable {ov!r} not in model")
-    if diags:
-        return diags
-    try:
-        order, states = _enumerate(model, model.cpts, {})
-    except ValueError:
-        return diags + ["cycle in parent graph"]
-    # Utility must cover every outcome assignment that can actually occur.
-    at = [order.index(ov) for ov in model.outcome_vars]
-    reachable = {tuple(asg[i] for i in at) for asg, _ in states}
-    for key in sorted(reachable - set(model.utility)):
-        diags.append(f"utility table missing reachable outcome {key}")
-    return diags
 
 
 def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:

@@ -10,13 +10,15 @@ table, component EUs, type EUs, policy solver) are scalar loops that share
 no code with the library's matrix form, and the PD agent's choice is also
 posed as a causal graph for ``graphs.decide``. The Newcomb choice here is
 the closed form that the library takes from the ``newcomb-transparent``
-scenario instead.
+scenario instead. ``validate_model`` lists every way a hand-built causal
+model breaks the engine's assumptions; the library scores a model as given.
 """
 import itertools
 from dataclasses import replace
 
 import numpy as np
 
+from fdtsim import graphs
 from fdtsim.beliefs import posteriors, signal_likelihoods
 from fdtsim.graphs import (
     CausalModel,
@@ -448,6 +450,69 @@ def decide(problem, theory):
         if eus[action] > eus[chosen]:
             chosen = action
     return EvaluationReport(expected_utility=eus, chosen=chosen)
+
+
+# ---------------------------------------------------------------------------
+# Causal-model diagnostics
+# ---------------------------------------------------------------------------
+
+NORMALIZATION_TOL = 1e-9
+
+
+def validate_model(model: CausalModel) -> list[str]:
+    """Return one diagnostic string per invariant violation; empty if valid."""
+    diags: list[str] = []
+    ids = [v.id for v in model.variables]
+    if len(set(ids)) != len(ids):
+        diags.append("duplicate variable ids")
+    for v in model.variables:
+        if len(v.domain) < 2:
+            diags.append(f"variable {v.id!r}: domain has fewer than 2 values")
+        if len(set(v.domain)) != len(v.domain):
+            diags.append(f"variable {v.id!r}: duplicate domain labels")
+    id_set = set(ids)
+    for vid in ids:
+        if vid not in model.cpts:
+            diags.append(f"variable {vid!r}: missing CPT")
+    for child, cpt in model.cpts.items():
+        if child not in id_set:
+            diags.append(f"CPT references unknown variable {child!r}")
+            continue
+        dangling = [p for p in cpt.parents if p not in id_set]
+        for p in dangling:
+            diags.append(f"variable {child!r}: dangling parent reference {p!r}")
+        if dangling:
+            continue
+        domain = model.domain(child)
+        expected_keys = set(itertools.product(*(model.domain(p) for p in cpt.parents)))
+        for key in expected_keys - set(cpt.table):
+            diags.append(f"variable {child!r}: missing row for parents {key}")
+        for key, row in cpt.table.items():
+            if key not in expected_keys:
+                diags.append(f"variable {child!r}: spurious row {key}")
+                continue
+            if len(row) != len(domain):
+                diags.append(f"variable {child!r}: row {key} has wrong arity")
+                continue
+            if any(p < 0.0 or p > 1.0 for p in row):
+                diags.append(f"variable {child!r}: row {key} has entries outside [0, 1]")
+            if abs(sum(row) - 1.0) > NORMALIZATION_TOL:
+                diags.append(f"variable {child!r}: row {key} not normalized")
+    for ov in model.outcome_vars:
+        if ov not in id_set:
+            diags.append(f"outcome variable {ov!r} not in model")
+    if diags:
+        return diags
+    try:
+        order, states = graphs._enumerate(model, model.cpts, {})
+    except ValueError:
+        return diags + ["cycle in parent graph"]
+    # Utility must cover every outcome assignment that can actually occur.
+    at = [order.index(ov) for ov in model.outcome_vars]
+    reachable = {tuple(asg[i] for i in at) for asg, _ in states}
+    for key in sorted(reachable - set(model.utility)):
+        diags.append(f"utility table missing reachable outcome {key}")
+    return diags
 
 
 # ---------------------------------------------------------------------------

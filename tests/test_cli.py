@@ -218,6 +218,21 @@ def test_evolve_takes_pd_payoffs_beyond_int64(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("high", [10_000, 10**15 + 1, 10**17, 2 * 10**17])
+def test_evolve_scores_integer_newcomb_payoffs_as_floats(high, tmp_path, capsys):
+    # Beyond 2**53 an int64 sum of these payoffs is exact or wraps, where float64 rounds.
+    run = {"game": "newcomb", "population": 300, "generations": 20, "rounds": 100, "seed": 3,
+           "initial_shares": [0.5, 0.5]}
+    rows = []
+    for params in ({"high": high, "low": 1001}, {"high": float(high), "low": 1001.0}):
+        path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
+        path.write_text(json.dumps(dict(run, game_params=params)))
+        assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
+        rows.append(csv_rows(out.read_text()))
+    assert rows[0] == rows[1]
+    capsys.readouterr()
+
+
 def test_evolve_requires_config_or_preset(capsys):
     assert cli.main(["evolve"]) == 1
     assert cli.main(["evolve", "--preset", "nope"]) == 1

@@ -18,7 +18,6 @@ from fdtsim.graphs import (
     ZeroProbabilityError,
     decide,
     infer,
-    validate_model,
 )
 from fdtsim.scenarios import build
 
@@ -50,34 +49,34 @@ def chain_model(p_a=0.3, p_b_given=(0.9, 0.2), p_c_given=(0.8, 0.1)):
 
 
 def test_validate_clean_model():
-    assert validate_model(chain_model()) == []
+    assert oracles.validate_model(chain_model()) == []
 
 
 def test_validate_catches_unnormalized_row():
     model = chain_model()
     bad = Cpt("A", (), {(): (0.6, 0.6)})
-    msgs = validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
+    msgs = oracles.validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
     assert any("normal" in m.lower() for m in msgs)
 
 
 def test_validate_catches_dangling_parent():
     model = chain_model()
     bad = Cpt("B", ("Z",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    msgs = validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
+    msgs = oracles.validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
     assert any("Z" in m for m in msgs)
 
 
 def test_validate_catches_cycle():
     model = chain_model()
     bad = Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    msgs = validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
+    msgs = oracles.validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
     assert any("cycle" in m.lower() for m in msgs)
 
 
 def test_validate_catches_missing_utility_row():
     model = chain_model()
     broken = CausalModel(model.variables, model.cpts, ("C",), {("yes",): 1.0})
-    msgs = validate_model(broken)
+    msgs = oracles.validate_model(broken)
     assert any("utility" in m.lower() for m in msgs)
 
 
@@ -210,7 +209,7 @@ def with_prediction(parents, table):
 
 
 # Each malformed model's reads raise a ValueError naming the variable at
-# fault, worded as validate_model's diagnostic. infer reads no outcome variable.
+# fault, worded as oracles.validate_model's diagnostic. infer reads no outcome variable.
 MALFORMED = {
     "missing-row": (
         with_prediction(("Decision",), {("one-box",): PREDICTION_ROWS[("one-box",)]}),
@@ -243,7 +242,7 @@ MALFORMED = {
 ])
 def test_malformed_model_raises_value_error_naming_the_variable(case, scorer):
     model, message = MALFORMED[case]
-    assert message in validate_model(model)
+    assert message in oracles.validate_model(model)
     with pytest.raises(ValueError) as info:
         if scorer == "infer":
             infer(model, {}, "Action")

@@ -1,9 +1,11 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdtsim.graphs import decide, validate_model
+from fdtsim.graphs import decide
 from fdtsim.scenarios import SCENARIO_IDS, ScenarioError, build
-from oracles import SCENARIO_PAIRS, scenario_closed_form, scenario_params
+from oracles import SCENARIO_PAIRS, scenario_closed_form, scenario_params, validate_model
 
 # (scenario, theory) -> expected choice at default parameters
 EXPECTED_CHOICES = {
@@ -34,8 +36,13 @@ def test_default_choices(scenario, theory):
 
 
 @pytest.mark.parametrize("scenario", sorted(SCENARIO_IDS))
-def test_models_validate_clean(scenario):
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_models_validate_clean(scenario, data):
+    # The library scores a model as given, so build alone keeps rows normalized and in [0, 1].
+    v = scenario_params(scenario, lambda low, high: data.draw(st.floats(low, high)))
     assert validate_model(build(scenario).model) == []
+    assert validate_model(build(scenario, **v).model) == []
 
 
 def test_newcomb_values():
@@ -120,6 +127,17 @@ def test_non_number_overrides_rejected(value):
         build("newcomb", accuracy=value)
 
 
+def check_closed_form(scenario, theory, v):
+    report = decide(build(scenario, **v), theory)
+    expected = scenario_closed_form(scenario, theory, v)
+    # The floor at a few ulps keeps the tolerance above 0 when every parameter is subnormal.
+    scale = max(abs(u) for u in v.values())
+    tol = max(1e-9 * scale, 4 * math.ulp(scale))
+    assert tuple(report.expected_utility.values()) == pytest.approx(expected, rel=1e-9, abs=tol)
+    if abs(expected[0] - expected[1]) > tol:  # ties go to the first action
+        assert report.chosen == build(scenario).actions[expected[1] > expected[0]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(pair=st.sampled_from(SCENARIO_PAIRS), data=st.data())
 def test_every_pair_matches_its_closed_form(pair, data):
@@ -127,9 +145,10 @@ def test_every_pair_matches_its_closed_form(pair, data):
     # row listed in the wrong parent order changes some pair's EUs.
     scenario, theory = pair
     v = scenario_params(scenario, lambda low, high: data.draw(st.floats(low, high)))
-    report = decide(build(scenario, **v), theory)
-    expected = scenario_closed_form(scenario, theory, v)
-    tol = 1e-9 * max(abs(u) for u in v.values())
-    assert tuple(report.expected_utility.values()) == pytest.approx(expected, rel=1e-9, abs=tol)
-    if abs(expected[0] - expected[1]) > tol:  # ties go to the first action
-        assert report.chosen == build(scenario).actions[expected[1] > expected[0]]
+    check_closed_form(scenario, theory, v)
+
+
+@pytest.mark.parametrize("theory", ["edt", "cdt", "fdt"])
+def test_closed_form_holds_at_subnormal_utilities(theory):
+    # EDT's products 0.5 * 5e-324 underflow to 0 where the closed form keeps 5e-324.
+    check_closed_form("newcomb-transparent", theory, dict(high=0.0, low=5e-324, accuracy=0.0))
