@@ -9,10 +9,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import experiments
-from .beliefs import AllZeroPosteriorError
-from .evolve import NonPositiveScoreError
 from .experiments import PRESETS, SWEEPS, ExperimentConfig
-from .games import NoFixedPointError
 from .graphs import THEORIES, decide
 from .scenarios import SCENARIO_IDS, build, scenario_defaults
 
@@ -24,11 +21,9 @@ EXIT_IO = 2
 RUN_FLAGS = dict(seed=int, generations=int, population=int, rounds=int,
                  birth_rate=float, mutation_rate=float, snapshot_every=int)
 
-# Errors a valid config can still meet while it runs, from the game it plays.
-RUN_ERRORS = (NonPositiveScoreError, AllZeroPosteriorError, NoFixedPointError)
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # a usage error leaves through ``_error``, like any other
+    def error(self, message):  # a usage error exits 1 through ``main``, like any other
         raise ValueError(message)
 
 
@@ -73,23 +68,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _error(message, code: int = EXIT_USAGE) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
-
-
-def _cmd_scenario(args: argparse.Namespace) -> int:
-    try:
-        parameters = {name: getattr(args, name) for name in scenario_defaults(args.scenario)}
-        report = decide(build(args.scenario, **parameters), args.theory)
-    except ValueError as exc:
-        return _error(exc)
+def _cmd_scenario(args: argparse.Namespace) -> None:
+    parameters = {name: getattr(args, name) for name in scenario_defaults(args.scenario)}
+    report = decide(build(args.scenario, **parameters), args.theory)
     print(f"scenario: {args.scenario}")
     print(f"theory: {args.theory}")
     for action, eu in report.expected_utility.items():
         print(f"  EU[{action}] = {eu:.6g}")
     print(f"chosen: {report.chosen}")
-    return EXIT_OK
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -115,23 +101,19 @@ def _apply_run_flags(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return replace(config, **updates) if updates else config
 
 
-def _run_one(config: ExperimentConfig, out: str | Path | None, label: str, error_prefix: str = "",
-             say_wrote: bool = False) -> int:
+def _run_one(config: ExperimentConfig, out: str | Path | None, label: str,
+             say_wrote: bool = False) -> None:
     """Run ``config``, write its CSV to ``out`` if given, and print its summary line as ``label``."""
-    try:
-        trajectory = experiments.run(config)
-    except RUN_ERRORS as exc:
-        return _error(f"{error_prefix}{exc}")
+    trajectory = experiments.run(config)
     if out:
         try:
             Path(out).write_text(experiments.trajectory_csv(trajectory, config))
         except OSError as exc:
-            return _error(f"cannot write {out}: {exc}", EXIT_IO)
+            raise OSError(f"cannot write {out}: {exc}") from exc
         if say_wrote:
             print(f"wrote {out}")
     parts = ", ".join(f"{name}={share:.4f}" for name, share in trajectory.final_shares().items())
     print(f"{label}: gen {config.generations}, final shares: {parts}")
-    return EXIT_OK
 
 
 def _check_out_dirs(paths) -> None:
@@ -141,15 +123,10 @@ def _check_out_dirs(paths) -> None:
             raise OSError(f"cannot write {path}: {Path(path).parent} is not a directory")
 
 
-def _cmd_evolve(args: argparse.Namespace) -> int:
-    try:
-        config = _load_config(args)
-        _check_out_dirs([args.out])
-    except ValueError as exc:
-        return _error(exc)
-    except OSError as exc:
-        return _error(exc, EXIT_IO)
-    return _run_one(config, args.out, config.game, say_wrote=True)
+def _cmd_evolve(args: argparse.Namespace) -> None:
+    config = _load_config(args)
+    _check_out_dirs([args.out])
+    _run_one(config, args.out, config.game, say_wrote=True)
 
 
 def _sweep_out_path(template: str, index: int) -> Path:
@@ -160,35 +137,33 @@ def _sweep_out_path(template: str, index: int) -> Path:
     return path.with_name(f"{path.stem}-{index:03d}{path.suffix or '.csv'}")
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     if args.preset not in SWEEPS:
-        return _error(f"sweep requires --preset, one of {sorted(SWEEPS)}")
+        raise ValueError(f"sweep requires --preset, one of {sorted(SWEEPS)}")
     base, runs, _ = SWEEPS[args.preset]
-    try:
-        base = _apply_run_flags(base, args)  # --seed sets the base seed, off which each run's is drawn
-        runs = runs if args.runs is None else args.runs
-        configs = experiments.sweep_configs(args.preset, base, runs, base.seed)
-        outs = [_sweep_out_path(args.out, i) if args.out else None for i in range(len(configs))]
-        _check_out_dirs(outs)
-    except ValueError as exc:
-        return _error(exc)
-    except OSError as exc:
-        return _error(exc, EXIT_IO)
+    base = _apply_run_flags(base, args)  # --seed sets the base seed, off which each run's is drawn
+    runs = runs if args.runs is None else args.runs
+    configs = experiments.sweep_configs(args.preset, base, runs, base.seed)
+    outs = [_sweep_out_path(args.out, i) if args.out else None for i in range(len(configs))]
+    _check_out_dirs(outs)
     print(f"sweep {args.preset}: {len(configs)} runs")
     for i, ((config, drawn), out) in enumerate(zip(configs, outs)):
         info = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in drawn.items())
-        code = _run_one(config, out, f"run {i} [{info}]", error_prefix=f"run {i}: ")
-        if code != EXIT_OK:
-            return code
-    return EXIT_OK
+        try:
+            _run_one(config, out, f"run {i} [{info}]")
+        except ValueError as exc:
+            raise ValueError(f"run {i}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command; every fdtsim error exits 1 (``ValueError``) or 2 (``OSError``) with one line."""
     try:
         args = build_parser().parse_args(argv)
-    except ValueError as exc:  # a usage error or a repeated flag
-        return _error(exc)
-    return {"scenario": _cmd_scenario, "evolve": _cmd_evolve, "sweep": _cmd_sweep}[args.command](args)
+        {"scenario": _cmd_scenario, "evolve": _cmd_evolve, "sweep": _cmd_sweep}[args.command](args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -230,10 +230,6 @@ def sweep_configs(
     return out
 
 
-def _fmt(value) -> str:
-    return repr(float(value)) if isinstance(value, float) else str(value)
-
-
 def trajectory_csv(trajectory: Trajectory, config: ExperimentConfig) -> str:
     """Render a trajectory as CSV with config metadata in comment lines.
 
@@ -256,7 +252,7 @@ def trajectory_csv(trajectory: Trajectory, config: ExperimentConfig) -> str:
             continue
         cells = [str(record.generation)]
         for count, share, mean in zip(record.counts, record.shares, record.mean_scores):
-            cells += [str(count), _fmt(share), _fmt(mean)]
+            cells += [str(count), str(share), str(mean)]
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 

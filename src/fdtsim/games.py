@@ -33,7 +33,7 @@ _BLOCK_ELEMENTS = 2**18
 PdPolicy = tuple[str, str, str]  # action ("C" or "D") per received signal
 
 
-class NoFixedPointError(RuntimeError):
+class NoFixedPointError(ValueError):
     """No self-consistent policy exists for the given parameters."""
 
 

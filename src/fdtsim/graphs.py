@@ -45,6 +45,8 @@ class Variable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "domain", tuple(self.domain))
+        if len(set(self.domain)) != len(self.domain):
+            raise ValueError(f"variable {self.id!r} repeats a domain label: {self.domain}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +87,11 @@ class CausalModel:
         object.__setattr__(
             self, "utility", {tuple(k): float(v) for k, v in self.utility.items()}
         )
-        # Each variable's domain by id; the first wins if an id repeats.
-        object.__setattr__(self, "_domains", {v.id: v.domain for v in reversed(self.variables)})
+        object.__setattr__(self, "_domains", {v.id: v.domain for v in self.variables})
+        if len(self._domains) != len(self.variables):
+            ids = [v.id for v in self.variables]
+            repeated = next(var_id for var_id in ids if ids.count(var_id) > 1)
+            raise ValueError(f"variable {repeated!r} appears more than once in the model")
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         try:

@@ -278,6 +278,37 @@ def test_evolve_rejects_unknown_flags():
     assert cli.main(["evolve", "--preset", "newcomb-baseline", "--bogus", "1"]) == 1
 
 
+# A run path that is an existing directory passes the check before the runs; its write fails.
+def test_sweep_out_that_is_a_directory_fails_when_written(tmp_path, capsys):
+    (tmp_path / "run0").mkdir()
+    argv = ["sweep", "--preset", "newcomb-sweep", "--runs", "2", "--out", str(tmp_path / "run{i}")]
+    assert cli.main(argv + SMALL) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'run0'}: ") and err.count("\n") == 1
+
+
+# Any ValueError is bad input or a run that cannot finish, not only the error classes known today.
+def test_any_value_error_from_a_run_exits_1_with_one_error_line(monkeypatch, capsys):
+    def fail(config):
+        raise ValueError("the run cannot finish")
+
+    monkeypatch.setattr(experiments, "run", fail)
+    assert cli.main(["evolve", "--preset", "newcomb-baseline"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the run cannot finish\n"
+
+
+# At N = 3 and one round an agent sits out: two scorers for three replacements.
+def test_sweep_run_that_cannot_finish_exits_1_naming_the_run(capsys):
+    argv = ["sweep", "--preset", "pd-payoff-sweep", "--runs", "2", "--population", "3",
+            "--rounds", "1", "--generations", "1", "--birth-rate", "1"]
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "sweep pd-payoff-sweep: 2 runs\n"
+    assert captured.err.startswith("error: run 0: ") and captured.err.count("\n") == 1
+
+
 PD_RUN = {
     "game": "pd", "population": 40, "generations": 2, "rounds": 3,
     "initial_shares": [1 / 3, 1 / 3, 1 / 3], "birth_rate": 0.05,

@@ -139,6 +139,20 @@ def test_decision_problem_rejects_broken_invariants(scenario, changes, field):
         replace(build(scenario), **changes)
 
 
+def test_repeated_domain_label_is_rejected_naming_the_variable():
+    # Scored as given, Prediction = ("one-box", "one-box") made FDT two-box in Newcomb's problem.
+    prediction = build("newcomb").model.variables[2]
+    with pytest.raises(ValueError, match="'Prediction' repeats a domain label"):
+        replace(prediction, domain=("one-box", "one-box"))
+
+
+def test_repeated_variable_id_is_rejected_naming_the_variable():
+    # Scored as given, the second Prediction was dropped without a word.
+    model = build("newcomb").model
+    with pytest.raises(ValueError, match="'Prediction' appears more than once"):
+        replace(model, variables=model.variables + (Variable("Prediction", BOOL),))
+
+
 def test_edt_equals_cdt_for_root_action():
     # The action node has no parents, so conditioning and intervening agree.
     problem = make_problem(chain_model())
