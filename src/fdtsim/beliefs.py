@@ -5,6 +5,9 @@ remaining mass splits evenly over the other k - 1 types.
 """
 from __future__ import annotations
 
+import math
+import operator
+
 import numpy as np
 
 
@@ -18,29 +21,28 @@ def signal_likelihoods(accuracy: float, k: int) -> np.ndarray:
         raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    likelihoods = np.full((k, k), (1.0 - accuracy) / (k - 1))
+    likelihoods = np.full((k, k), (1.0 - accuracy) / (k - 1), dtype=float)
     np.fill_diagonal(likelihoods, accuracy)
     return likelihoods
 
 
-def posteriors(prior_shares, likelihoods: np.ndarray, signals) -> np.ndarray:
-    """Posterior over types after each of ``signals``, one row per signal.
+def posteriors(prior_shares, likelihoods, signals) -> list[tuple[float, float, float]]:
+    """Posterior over three types after each of ``signals``, one row per signal.
 
-    Row i is the normalized entrywise product of the prior odds and
-    ``likelihoods[signals[i]]``, a row of ``signal_likelihoods``. The prior may
-    be unnormalized odds. The first signal the prior rules out raises ``AllZeroPosteriorError``.
+    Row i is the normalized product of the prior odds (finite, nonnegative, not all 0) and the
+    row ``likelihoods[signals[i]]`` of ``signal_likelihoods(accuracy, 3)``, an array or lists.
+    The first signal the prior rules out raises ``AllZeroPosteriorError``.
     """
-    prior = np.asarray(prior_shares, dtype=float)
-    k = likelihoods.shape[-1]
-    if prior.shape != (k,) or (prior < 0.0).any():
-        raise ValueError(f"prior must be {k} nonnegative odds, got {prior.tolist()}")
-    if not all(0 <= signal < k for signal in signals):
-        raise IndexError(f"signals {list(signals)} out of range for {k} types")
-    product = prior * likelihoods[signals]
-    total = product.sum(-1)
-    if (total <= 0.0).any():
-        raise AllZeroPosteriorError(
-            f"prior {prior.tolist()} and signal {signals[np.argmax(total <= 0.0)]} have disjoint support"
-        )
-    return product / total[:, None]
-
+    prior = list(map(float, prior_shares))
+    if len(prior) != 3 or not (all(map(math.isfinite, prior)) and min(prior) >= 0.0 and any(prior)):
+        raise ValueError(f"prior must be 3 finite nonnegative odds, not all 0, got {prior}")
+    rows = []
+    for signal in signals:
+        if not 0 <= signal < 3:
+            raise IndexError(f"signal {signal} out of range for 3 types")
+        weight_0, weight_1, weight_2 = map(operator.mul, prior, likelihoods[signal])
+        total = (weight_0 + weight_1) + weight_2  # numpy's order; sum() rounds otherwise from 3.12
+        if total <= 0.0:
+            raise AllZeroPosteriorError(f"prior {prior} and signal {signal} have disjoint support")
+        rows.append((weight_0 / total, weight_1 / total, weight_2 / total))
+    return rows

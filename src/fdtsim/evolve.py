@@ -160,19 +160,18 @@ def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:
     """Run the full generation loop; deterministic given the master seed."""
     pop = Population.from_shares(game.type_names, config.initial_shares, config.population)
     trajectory = Trajectory(type_names=tuple(game.type_names))
-    k, n, counts = len(game.type_names), pop.size, pop.counts()
+    k, n, counts = len(game.type_names), pop.size, pop.counts().tolist()
     with np.errstate(over="ignore"):  # no warning: a score sum that overflows raises instead
         for generation in range(1, config.generations + 1):
             scores = game.play_generation(pop.types, config.rounds, _stream(config.seed, generation, 0))
             pop.scores = np.asarray(scores, dtype=float)
-            sums = np.bincount(pop.types, weights=pop.scores, minlength=k)
-            finite = np.isfinite(sums)
-            if not finite.all():  # repopulate checks scores only when there are births
-                bad = finite.argmin()
-                raise NonPositiveScoreError(f"{game.type_names[bad]} scores sum to {sums[bad]}: not finite")
-            mean_scores = np.divide(sums, counts, out=np.zeros(k), where=counts > 0)
+            sums = np.bincount(pop.types, weights=pop.scores, minlength=k).tolist()
+            for name, total in zip(game.type_names, sums):  # repopulate checks them only with births
+                if not math.isfinite(total):
+                    raise NonPositiveScoreError(f"{name} scores sum to {total}: not finite")
+            mean_scores = tuple(total / count if count else 0.0 for total, count in zip(sums, counts))
             pop = repopulate(pop, config, _stream(config.seed, generation, 1))
-            counts = np.bincount(pop.types, minlength=k)
-            record = (tuple(column.tolist()) for column in (counts, counts / n, mean_scores))
-            trajectory.records.append(GenerationRecord(generation, *record))
+            counts = tuple(np.bincount(pop.types, minlength=k).tolist())
+            shares = tuple(count / n for count in counts)
+            trajectory.records.append(GenerationRecord(generation, counts, shares, mean_scores))
     return trajectory

@@ -96,8 +96,8 @@ class BeautyConfig:
             raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
         if self.cap <= 0.0:
             raise ValueError(f"cap must be positive, got {self.cap}")
-        if not self.high > self.low:
-            raise ValueError("guess range must be nonempty")
+        if not (self.high > self.low and _is_finite_number(float(self.high) - float(self.low))):
+            raise ValueError(f"guess range must be nonempty, high - low finite: [{self.low}, {self.high}]")
 
 
 # ---------------------------------------------------------------------------
@@ -108,6 +108,8 @@ class BeautyConfig:
 # solver's tie-break order, as cooperation (D = 0, C = 1) per signal.
 _PD_POLICIES = list(itertools.product("DC", repeat=3))
 _PD_POLICY_COOP = np.array(_PD_POLICIES) == "C"
+# _PD_PAIRS[s][j]: the indices of the policies D and C on signal s, j-th product("DC") pair elsewhere.
+_PD_PAIRS = [list(zip(np.flatnonzero(~c).tolist(), np.flatnonzero(c).tolist())) for c in _PD_POLICY_COOP.T]
 _ACTIONS = np.array([[0], [1]])  # D, C down the rows
 # _PD_TRIALS[policy, signal, action]: the policy with that component forced to the action.
 _PD_TRIALS = np.where(
@@ -139,58 +141,71 @@ class _PdTables:
 
     def __init__(self, config: PdConfig):
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
-        self.likelihoods = signal_likelihoods(config.signal_accuracy, 3)
+        likelihoods = signal_likelihoods(config.signal_accuracy, 3)
         # As floats: an integer payoff beyond int64 cannot multiply an int64 array.
         payoffs = tuple(float(v) for v in (config.cc, config.cd, config.dc, config.dd))
-        self.payoff = _pd_payoff(payoffs, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
+        payoff = _pd_payoff(payoffs, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
         # vs_fdt[policy, signal, action]: EU against an FDT opponent (see component_eus).
-        self.vs_fdt = (self.likelihoods[:, PD_FDT] * self.payoff[_ACTIONS, _PD_TRIALS]).sum(-1)
+        vs_fdt = (likelihoods[:, PD_FDT] * payoff[_ACTIONS, _PD_TRIALS]).sum(-1)
         # K[policy, own, opp]: probability that type ``own`` cooperates against type ``opp``,
         # and type_payoffs[policy, own, opp]: ``own``'s expected round payoff under that K.
         k = np.zeros((len(_PD_POLICIES), 3, 3))
         k[:, PD_COOPERATOR, :] = 1.0
-        k[:, PD_FDT, :] = (_PD_POLICY_COOP[:, None, :] * self.likelihoods.T).sum(-1)
+        k[:, PD_FDT, :] = (_PD_POLICY_COOP[:, None, :] * likelihoods.T).sum(-1)
         self.type_payoffs = _pd_payoff(payoffs, k, np.swapaxes(k, -1, -2))
         # Each side's payoff indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
-        self.pair_payoffs = self.payoff.ravel(), self.payoff.T.ravel()
+        self.pair_payoffs = payoff.ravel(), payoff.T.ravel()
+        # The solver's tables, as floats: numpy's per-call cost would outweigh the arithmetic.
+        self.likelihoods, self.payoff = likelihoods.tolist(), payoff.tolist()
+        self.vs_fdt = [vs_fdt[~coop, signal].tolist() for signal, coop in enumerate(_PD_POLICY_COOP.T)]
+        self.fdt_payoffs = self.type_payoffs[:, PD_FDT].tolist()
 
-    def component_eus(self, shares, signals) -> np.ndarray:
-        """EU[policy, i, action] of answering ``signals[i]`` with action D (0) or C (1).
-
-        Against the posterior over the opponent's type, a Defector defects, a
-        Cooperator cooperates, and an FDT opponent answers its own signal about
-        this agent with the policy whose ``signals[i]`` component is forced to
-        the action (same function, same input, same output). Sums run left to
-        right, like the scalar oracle's, so exact ties between policies break alike.
+    def component_eus(self, shares, signals) -> list[list[tuple[float, float]]]:
+        """EU[i][j]: the EUs of answering ``signals[i]`` with D and with C under either policy of
+        ``_PD_PAIRS[signals[i]][j]``, whose other two components alone enter them. Against the
+        posterior over the opponent's type, a Defector defects, a Cooperator cooperates, and an FDT
+        opponent answers its own signal about this agent with the policy whose ``signals[i]``
+        component is forced to the action. Sums run left to right, as the scalar oracle's do.
         """
-        post, table = posteriors(shares, self.likelihoods, signals), self.payoff
-        known = post[:, :1] * table[:, 0] + post[:, 1:2] * table[:, 1]
-        return known + post[:, 2:] * self.vs_fdt[:, signals]
+        (d_vs_d, d_vs_c), (c_vs_d, c_vs_c) = self.payoff
+        eus = []
+        for signal, (p_d, p_c, p_fdt) in zip(signals, posteriors(shares, self.likelihoods, signals)):
+            known_d, known_c = p_d * d_vs_d + p_c * d_vs_c, p_d * c_vs_d + p_c * c_vs_c
+            eus.append([(known_d + p_fdt * d, known_c + p_fdt * c) for d, c in self.vs_fdt[signal]])
+        return eus
 
 
 def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     """Best self-consistent signal -> action policy for the FDT type.
 
-    Scores all eight policies at once, keeps those where every component is
-    a best response given the whole policy, and returns the fixed point with
-    the highest expected round utility for the FDT type. Remaining ties
-    break toward defection, signal by signal. A signal that no agent can
-    send has no posterior and enters no EU: its component is D, unchecked.
+    Of the policies where every component is a best response given the whole policy, the one with
+    the highest FDT round EU; ties break toward defection, signal by signal. A signal no agent sends
+    enters no EU: its component is D. Shares other than three finite odds, not all 0, raise ValueError.
     """
-    shares = np.asarray(shares, dtype=float)
-    tables = config._tables
-    sent = (shares * tables.likelihoods).sum(-1) > 0.0  # as in ``posteriors``
-    signals = np.flatnonzero(sent).tolist()
-    eus = tables.component_eus(shares, signals)
-    coop = _PD_POLICY_COOP[:, signals]
-    held, other = np.where(coop, eus[..., 1], eus[..., 0]), np.where(coop, eus[..., 0], eus[..., 1])
-    fixed = np.flatnonzero(~(held < other).any(-1) & ~_PD_POLICY_COOP[:, ~sent].any(-1))
-    if not fixed.size:
-        raise NoFixedPointError(
-            f"no self-consistent policy for config={config} shares={shares.tolist()}"
-        )
-    fdt_eu = (tables.type_payoffs[fixed, PD_FDT] * shares).sum(-1)
-    return _PD_POLICIES[fixed[np.argmax(fdt_eu)]]
+    tables, (share_d, share_c, share_fdt) = config._tables, map(float, shares)  # a wrong length: ValueError
+    fixed, signals = [True] * len(_PD_POLICIES), []
+    for signal, (odds_d, odds_c, odds_fdt) in enumerate(tables.likelihoods):
+        if share_d * odds_d > 0.0 or share_c * odds_c > 0.0 or share_fdt * odds_fdt > 0.0:
+            signals.append(signal)
+        else:  # no agent sends it
+            for _, with_c in _PD_PAIRS[signal]:
+                fixed[with_c] = False
+    # Out go the policies whose action on a sent signal is strictly worse than the other.
+    for signal, signal_eus in zip(signals, tables.component_eus(shares, signals)):
+        for (eu_d, eu_c), (with_d, with_c) in zip(signal_eus, _PD_PAIRS[signal]):
+            if eu_d < eu_c:
+                fixed[with_d] = False
+            elif eu_c < eu_d:
+                fixed[with_c] = False
+    best = None
+    for policy, ok, (against_d, against_c, against_fdt) in zip(_PD_POLICIES, fixed, tables.fdt_payoffs):
+        if ok:  # the FDT type's EU against each type, weighted by its share; the first maximum wins
+            fdt_eu = (against_d * share_d + against_c * share_c) + against_fdt * share_fdt
+            if best is None or fdt_eu > best_eu:
+                best, best_eu = policy, fdt_eu
+    if best is None:
+        raise NoFixedPointError(f"no self-consistent policy for config={config} shares={shares}")
+    return best
 
 
 def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndarray:
@@ -274,8 +289,7 @@ class PdGame:
 
     def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
         n = types.size
-        shares = np.bincount(types, minlength=3) / n
-        policy = solve_fdt_pd_policy(self.config, shares)
+        policy = solve_fdt_pd_policy(self.config, (np.bincount(types, minlength=3) / n).tolist())
         # All matchings at once: one independent permutation per round.
         perms = np.tile(np.arange(n), (rounds, 1))
         rng.permuted(perms, axis=1, out=perms)

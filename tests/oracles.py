@@ -7,7 +7,7 @@ same order and add each agent's utilities in the same order as the library
 kernels, so the tests compare the two for equal bytes and an equal final
 generator state, not just equal distributions. The PD analytics here (payoff
 table, component EUs, type EUs, policy solver) are scalar loops that share
-no code with the library's matrix form, and the PD agent's choice is also
+no code with the library's tables, and the PD agent's choice is also
 posed as a causal graph for ``graphs.decide``. The Newcomb choice here is
 the closed form that the library takes from the ``newcomb-transparent``
 scenario instead. ``validate_model`` lists every way a hand-built causal
@@ -30,7 +30,6 @@ from fdtsim.graphs import (
     ZeroProbabilityError,
 )
 from fdtsim.games import (
-    _PD_POLICIES,
     NEWCOMB_TYPES,
     PD_COOPERATOR,
     PD_DEFECTOR,
@@ -84,8 +83,8 @@ def pd_component_eu(config, shares, policy, signal, action):
 
 def library_component_eu(config, shares, policy, signal, action):
     """The library's EU of answering ``signal`` with ``action``: one entry of ``component_eus``."""
-    eus = config._tables.component_eus(shares, [signal])
-    return eus[_PD_POLICIES.index(tuple(policy)), 0, int(action == "C")]
+    others = [a == "C" for s, a in enumerate(policy) if s != signal]
+    return config._tables.component_eus(shares, [signal])[0][2 * others[0] + others[1]][action == "C"]
 
 
 def pd_signal_problem(config, shares, policy, signal):
@@ -463,13 +462,9 @@ def validate_model(model: CausalModel) -> list[str]:
     """Return one diagnostic string per invariant violation; empty if valid."""
     diags: list[str] = []
     ids = [v.id for v in model.variables]
-    if len(set(ids)) != len(ids):
-        diags.append("duplicate variable ids")
     for v in model.variables:
         if len(v.domain) < 2:
             diags.append(f"variable {v.id!r}: domain has fewer than 2 values")
-        if len(set(v.domain)) != len(v.domain):
-            diags.append(f"variable {v.id!r}: duplicate domain labels")
     id_set = set(ids)
     for vid in ids:
         if vid not in model.cpts:

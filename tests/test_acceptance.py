@@ -415,7 +415,7 @@ def test_criterion_14_invariant_spotchecks():
         prior = rng.dirichlet(np.ones(3))
         likelihoods = signal_likelihoods(rng.uniform(0.05, 0.95), 3)
         signal = int(rng.integers(0, 3))
-        post = posteriors(prior, likelihoods, [signal])[0]
+        post = np.array(posteriors(prior, likelihoods, [signal])[0])
         ok &= abs(post.sum() - 1.0) < 1e-9 and (post >= 0).all()
         scaled = posteriors(prior * rng.uniform(0.1, 10), likelihoods, [signal])[0]
         ok &= np.allclose(post, scaled, atol=1e-9)

@@ -7,7 +7,7 @@ from fdtsim.beliefs import AllZeroPosteriorError, posteriors, signal_likelihoods
 
 def posterior(prior, signal, accuracy):
     """The posterior after one signal, from a three-type signal of the given accuracy."""
-    return posteriors(prior, signal_likelihoods(accuracy, 3), [signal])[0]
+    return np.array(posteriors(prior, signal_likelihoods(accuracy, 3), [signal])[0])
 
 
 def test_likelihood_shape():
@@ -35,6 +35,23 @@ def test_perfect_signal_is_point_mass():
 def test_disjoint_support_raises():
     with pytest.raises(AllZeroPosteriorError):
         posterior((1.0, 0.0, 0.0), 1, 1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "prior",
+    [
+        (float("nan"), 0.5, 0.5),
+        (float("inf"), 1.0, 1.0),
+        (0.5, -0.1, 0.6),
+        (0.0, 0.0, 0.0),
+        (0.5, 0.5),
+        (0.25, 0.25, 0.25, 0.25),
+    ],
+)
+def test_prior_that_is_not_odds_raises(prior):
+    with pytest.raises(ValueError, match="finite nonnegative odds"):
+        posteriors(prior, signal_likelihoods(0.9, 3), [0])
 
 
 def test_signal_out_of_range():

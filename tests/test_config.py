@@ -94,6 +94,7 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         (pd_dict(initial_shares="abc"), "initial_shares"),
         (pd_dict(initial_shares=[10**400, 0, 0]), "initial_shares"),
         (pd_dict(population=10**400), "population"),
+        (dict(VALID["beauty"], game_params={"low": -1e308, "high": 1e308}), "high - low"),
     ],
 )
 def test_from_dict_rejects_bad_input(data, message):

@@ -23,6 +23,7 @@ from fdtsim.games import (
     solve_fdt_pd_policy,
 )
 
+import oracles
 from oracles import library_component_eu, newcomb_choice, payoff, pd_play_round, signal_dist
 
 BASELINE = PdConfig()
@@ -150,6 +151,41 @@ def test_solved_policy_is_component_wise_stable():
             other = "C" if policy[s] == "D" else "D"
             alt = library_component_eu(config, THIRDS, policy, s, other)
             assert held >= alt - 1e-12
+
+
+# Exact ties in the FDT EU between two fixed points, from small-N integer-payoff
+# cases: the solver keeps the first in itertools.product("DC") order.
+@pytest.mark.parametrize(
+    "accuracy, shares, tied, expected",
+    [
+        (0.0, [0.0, 0.0, 1.0], [("D", "C", "D"), ("C", "D", "D")], ("D", "C", "D")),
+        (1 / 3, (np.array([1, 0, 10]) / 11).tolist(), [("D", "D", "C"), ("C", "D", "D")], ("D", "D", "C")),
+    ],
+)
+def test_solver_breaks_exact_ties_by_policy_order(accuracy, shares, tied, expected):
+    config = PdConfig(cc=526, cd=311, dc=846, dd=376, signal_accuracy=accuracy)
+    first, second = (pd_expected_utilities(config, shares, policy)[PD_FDT] for policy in tied)
+    assert first == second
+    assert solve_fdt_pd_policy(config, shares) == expected
+    assert oracles.solve_fdt_pd_policy(config, shares) == expected
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "shares",
+    [
+        [float("nan"), 0.5, 0.5],
+        [0.5, 0.5, float("inf")],
+        [0.0, 0.0, 0.0],
+        [-0.5, 1.0, 0.5],
+        [0.5, 0.5],
+        [0.25, 0.25, 0.25, 0.25],
+    ],
+)
+def test_solver_rejects_shares_that_are_not_odds(shares):
+    with pytest.raises(ValueError) as info:
+        solve_fdt_pd_policy(BASELINE, shares)
+    assert type(info.value) is ValueError  # not a solver outcome such as NoFixedPointError
 
 
 def test_play_round_matches_vectorized_means():
