@@ -1,4 +1,4 @@
-"""Population container and the generation loop.
+"""The start allocation and the generation loop.
 
 Each generation: play the configured number of rounds, then replace a fixed
 fraction of the population (births weighted by score, deaths inversely
@@ -30,16 +30,11 @@ class GameAdapter(Protocol):
 
 
 class Population:
-    """Fixed-size collection of typed agents with accumulated scores."""
+    """A run's start allocation: the type of each agent."""
 
-    def __init__(self, type_names: Sequence[str], types: np.ndarray, scores=None):
+    def __init__(self, type_names: Sequence[str], types: np.ndarray):
         self.type_names = tuple(type_names)
         self.types = np.asarray(types, dtype=np.int64)
-        self.scores = (
-            np.zeros(self.types.size) if scores is None else np.asarray(scores, dtype=float)
-        )
-        if self.scores.shape != self.types.shape:
-            raise ValueError("scores and types must have the same length")
 
     @classmethod
     def from_shares(cls, type_names: Sequence[str], shares: Sequence[float], size: int):
@@ -57,10 +52,6 @@ class Population:
             counts[i] += 1
         types = np.repeat(np.arange(len(type_names)), counts)
         return cls(type_names, types)
-
-    @property
-    def size(self) -> int:
-        return self.types.size
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.types, minlength=len(self.type_names))
@@ -110,19 +101,18 @@ def _choice(rng, p: np.ndarray, size: int, replace: bool) -> np.ndarray:
         p[found] = 0.0
 
 
-def repopulate(pop: Population, config: ExperimentConfig, rng) -> Population:
-    """Score-weighted births, inverse-score-weighted deaths, then mutation.
+def repopulate(types: np.ndarray, scores: np.ndarray, config: ExperimentConfig, k: int, rng) -> np.ndarray:
+    """Score-weighted births, inverse-score-weighted deaths, then mutation to one of ``k`` types.
 
     Births and deaths are both sampled from the pre-update snapshot and
     applied simultaneously, so a newborn cannot die in the generation it is
     born. An agent that scored 0 played no round (it sat out) and has no
-    fitness information: it neither reproduces nor dies. Scores reset to zero.
+    fitness information: it neither reproduces nor dies. Returns new types; reads the inputs only.
     """
-    n = pop.size
-    types = pop.types.copy()
+    n = types.size
+    new = types.copy()
     replacements = round(n * config.birth_rate)
     if replacements:
-        scores = pop.scores
         scored = scores > 0.0
         if (scorers := np.count_nonzero(scored)) < n:
             bad = np.flatnonzero(scores < 0.0)
@@ -142,12 +132,12 @@ def repopulate(pop: Population, config: ExperimentConfig, rng) -> Population:
             raise NonPositiveScoreError(f"{mortal} death weights above 0, fewer than {replacements} deaths")
         parents = _choice(rng, scores / total, replacements, replace=True)
         victims = _choice(rng, deaths, replacements, replace=False)
-        types[victims] = pop.types[parents]
+        new[victims] = types[parents]
     mutants = round(n * config.mutation_rate)
     if mutants:
         chosen = rng.choice(n, size=mutants, replace=False)
-        types[chosen] = rng.integers(0, len(pop.type_names), size=mutants)
-    return Population(pop.type_names, types)
+        new[chosen] = rng.integers(0, k, size=mutants)
+    return new
 
 
 def _stream(seed: int, generation: int, phase: int):
@@ -158,20 +148,20 @@ def _stream(seed: int, generation: int, phase: int):
 
 def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:
     """Run the full generation loop; deterministic given the master seed."""
-    pop = Population.from_shares(game.type_names, config.initial_shares, config.population)
+    start = Population.from_shares(game.type_names, config.initial_shares, config.population)
     trajectory = Trajectory(type_names=tuple(game.type_names))
-    k, n, counts = len(game.type_names), pop.size, pop.counts().tolist()
+    types, k, n, counts = start.types, len(start.type_names), start.types.size, start.counts().tolist()
     with np.errstate(over="ignore"):  # no warning: a score sum that overflows raises instead
         for generation in range(1, config.generations + 1):
-            scores = game.play_generation(pop.types, config.rounds, _stream(config.seed, generation, 0))
-            pop.scores = np.asarray(scores, dtype=float)
-            sums = np.bincount(pop.types, weights=pop.scores, minlength=k).tolist()
+            scores = game.play_generation(types, config.rounds, _stream(config.seed, generation, 0))
+            scores = np.asarray(scores, dtype=float)
+            sums = np.bincount(types, weights=scores, minlength=k).tolist()
             for name, total in zip(game.type_names, sums):  # repopulate checks them only with births
                 if not math.isfinite(total):
                     raise NonPositiveScoreError(f"{name} scores sum to {total}: not finite")
             mean_scores = tuple(total / count if count else 0.0 for total, count in zip(sums, counts))
-            pop = repopulate(pop, config, _stream(config.seed, generation, 1))
-            counts = tuple(np.bincount(pop.types, minlength=k).tolist())
+            types = repopulate(types, scores, config, k, _stream(config.seed, generation, 1))
+            counts = tuple(np.bincount(types, minlength=k).tolist())
             shares = tuple(count / n for count in counts)
             trajectory.records.append(GenerationRecord(generation, counts, shares, mean_scores))
     return trajectory

@@ -370,6 +370,8 @@ class BeautyGame:
             rows[:, random_at] = draws
             # Each row's sum is the pairwise sum that ``.mean()`` makes of it.
             targets = config.fraction * (rows.sum(axis=1) / n)
+            if not np.isfinite(targets).all():  # else every agent would score 1 / inf = 0
+                raise ValueError(f"the sum of N = {n} guesses in [{config.low}, {config.high}] is not finite")
             for target in targets.tolist():
                 cdt_score += min(config.cap, 1.0 / max(abs(target - cdt_guess), floor))
                 fdt_score += min(config.cap, 1.0 / max(abs(target - fdt_guess), floor))

@@ -92,6 +92,9 @@ class CausalModel:
             ids = [v.id for v in self.variables]
             repeated = next(var_id for var_id in ids if ids.count(var_id) > 1)
             raise ValueError(f"variable {repeated!r} appears more than once in the model")
+        for key, cpt in self.cpts.items():
+            if cpt.child != key:
+                raise ValueError(f"variable {key!r} holds the CPT of {cpt.child!r} in the model")
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         try:

@@ -374,6 +374,21 @@ REPRODUCERS = {
 }
 
 
+BEAUTY_OVERFLOW = {"game": "beauty", "population": 300, "generations": 2, "rounds": 2,
+                   "initial_shares": [0.34, 0.33, 0.33], "game_params": {"low": 1e308, "high": 1.7e308}}
+
+
+@pytest.mark.parametrize("births", [{}, {"birth_rate": 0.0}], ids=["births", "no-births"])
+def test_beauty_targets_that_overflow_exit_1_naming_the_range(births, tmp_path, capsys):
+    # A round's sum of 300 guesses overflows to inf, which would score every agent 1 / inf = 0.
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(dict(BEAUTY_OVERFLOW, **births)))
+    assert cli.main(["evolve", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the sum of N = 300 guesses in [1e+308, 1.7e+308] is not finite\n"
+
+
 def test_evolve_runs_with_a_perfect_signal_about_an_extinct_type(tmp_path, capsys):
     # No agent can send signal 1, so it has no posterior; the FDT policy answers it with D.
     path = tmp_path / "cfg.json"

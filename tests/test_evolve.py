@@ -103,7 +103,7 @@ def test_population_size_conserved_property(n, b, m, seed):
 def test_extreme_scores_drive_births_and_deaths():
     # One agent vastly outscores the other: it must parent the birth while
     # the weak agent dies.
-    pop = Population(("a", "b"), np.array([0, 1]), np.array([1e12, 1e-12]))
+    types, scores = np.array([0, 1]), np.array([1e12, 1e-12])
     cfg = ExperimentConfig(
         game="newcomb",
         population=2,
@@ -115,25 +115,23 @@ def test_extreme_scores_drive_births_and_deaths():
         seed=0,
     )
     for seed in range(20):
-        new = repopulate(pop, cfg, np.random.default_rng(seed))
-        assert new.types.tolist() == [0, 0]
-        assert (new.scores == 0).all()  # scores reset
+        assert repopulate(types, scores, cfg, 2, np.random.default_rng(seed)).tolist() == [0, 0]
 
 
 def test_zero_score_agent_is_neither_parent_nor_victim():
     # Agent 0 sat out every round; two of the three others are replaced.
-    pop = Population(("a", "b"), np.array([0, 1, 1, 1]), np.array([0.0, 1.0, 2.0, 3.0]))
+    types, scores = np.array([0, 1, 1, 1]), np.array([0.0, 1.0, 2.0, 3.0])
     cfg = config(population=4, birth_rate=0.5)
     for seed in range(50):
-        new = repopulate(pop, cfg, np.random.default_rng(seed))
-        assert new.types.tolist() == [0, 1, 1, 1]
+        new = repopulate(types, scores, cfg, 2, np.random.default_rng(seed))
+        assert new.tolist() == [0, 1, 1, 1]
 
 
 def test_every_scorer_dies_when_replacements_equal_scorers():
-    pop = Population(("a", "b"), np.array([0, 0, 1, 1]), np.array([0.0, 0.0, 3.0, 5.0]))
+    types, scores = np.array([0, 0, 1, 1]), np.array([0.0, 0.0, 3.0, 5.0])
     for seed in range(20):
-        new = repopulate(pop, config(population=4, birth_rate=0.5), np.random.default_rng(seed))
-        assert new.types[:2].tolist() == [0, 0]  # the two sit-outs survive
+        new = repopulate(types, scores, config(population=4, birth_rate=0.5), 2, np.random.default_rng(seed))
+        assert new[:2].tolist() == [0, 0]  # the two sit-outs survive
 
 
 @pytest.mark.parametrize(
@@ -148,17 +146,31 @@ def test_every_scorer_dies_when_replacements_equal_scorers():
     ],
 )
 def test_repopulate_rejects_too_few_scorers_or_negative_scores(scores, message):
-    pop = Population(("a", "b"), np.array([0, 1, 0, 1]), np.array(scores))
+    types = np.array([0, 1, 0, 1])
     with np.errstate(over="ignore"), pytest.raises(NonPositiveScoreError, match=message):  # as in a run
-        repopulate(pop, config(population=4, birth_rate=0.5), np.random.default_rng(0))
+        repopulate(types, np.array(scores), config(population=4, birth_rate=0.5), 2, np.random.default_rng(0))
 
 
 def test_repopulate_noop_when_rates_zero():
-    pop = Population(("a", "b"), np.array([0, 1, 1]), np.array([0.0, 0.0, 0.0]))
+    types, scores = np.array([0, 1, 1]), np.array([0.0, 0.0, 0.0])
     cfg = config(population=3, birth_rate=0.0, mutation_rate=0.0)
     # Zero scores are fine when no replacement happens.
-    new = repopulate(pop, cfg, np.random.default_rng(0))
-    assert new.types.tolist() == [0, 1, 1]
+    new = repopulate(types, scores, cfg, 2, np.random.default_rng(0))
+    assert new.tolist() == [0, 1, 1]
+
+
+def test_repopulate_returns_new_types_and_leaves_its_inputs_as_they_were():
+    # Births, deaths and mutations all happen, yet only the returned array holds them.
+    types, scores = np.array([0, 0, 1, 1, 2, 2]), np.array([1.0, 2.0, 0.0, 4.0, 5.0, 6.0])
+    before = types.tobytes(), scores.tobytes()
+    cfg = config(population=6, birth_rate=0.5, mutation_rate=0.5)
+    changed = 0
+    for seed in range(20):
+        new = repopulate(types, scores, cfg, 3, np.random.default_rng(seed))
+        assert not np.shares_memory(new, types) and new.dtype == np.int64 and new.shape == types.shape
+        assert (types.tobytes(), scores.tobytes()) == before
+        changed += bool((new != types).any())
+    assert changed  # the draws did move some agent
 
 
 def test_mutation_touches_expected_count():
@@ -166,9 +178,8 @@ def test_mutation_touches_expected_count():
     # probability somewhere in the population.
     cfg = config(population=60, birth_rate=0.0, mutation_rate=1.0, generations=1, seed=3)
     start = Population.from_shares(("a", "b", "c"), (1.0, 0.0, 0.0), 60)
-    scored = Population(start.type_names, start.types, np.ones(60))
-    new = repopulate(scored, cfg, np.random.default_rng(3))
-    counts = np.bincount(new.types, minlength=3)
+    new = repopulate(start.types, np.ones(60), cfg, 3, np.random.default_rng(3))
+    counts = np.bincount(new, minlength=3)
     assert counts.sum() == 60
     assert counts[0] < 60  # some mutated away with overwhelming probability
 

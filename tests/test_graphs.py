@@ -153,6 +153,17 @@ def test_repeated_variable_id_is_rejected_naming_the_variable():
         replace(model, variables=model.variables + (Variable("Prediction", BOOL),))
 
 
+def test_cpt_filed_under_another_variable_is_rejected_naming_both():
+    # Scored as given, each CPT stood in for the variable of its dict key.
+    variables = (Variable("A", BOOL), Variable("B", BOOL))
+    cpts = {
+        "A": Cpt("B", (), {(): (0.3, 0.7)}),
+        "B": Cpt("A", ("A",), {("yes",): (1.0, 0.0), ("no",): (0.0, 1.0)}),
+    }
+    with pytest.raises(ValueError, match="variable 'A' holds the CPT of 'B'"):
+        CausalModel(variables, cpts, ("B",), {("yes",): 1.0, ("no",): 0.0})
+
+
 def test_edt_equals_cdt_for_root_action():
     # The action node has no parents, so conditioning and intervening agree.
     problem = make_problem(chain_model())
