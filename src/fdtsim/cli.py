@@ -143,7 +143,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
     base, runs, _ = SWEEPS[args.preset]
     base = _apply_run_flags(base, args)  # --seed sets the base seed, off which each run's is drawn
     runs = runs if args.runs is None else args.runs
-    configs = experiments.sweep_configs(args.preset, base, runs, base.seed)
+    configs = experiments.sweep_configs(args.preset, base, runs)
     outs = [_sweep_out_path(args.out, i) if args.out else None for i in range(len(configs))]
     _check_out_dirs(outs)
     print(f"sweep {args.preset}: {len(configs)} runs")

@@ -20,6 +20,8 @@ GAMES = {
 
 # Integer fields and their least allowed value.
 _INT_FIELDS = (("population", 1), ("generations", 1), ("rounds", 0), ("seed", 0), ("snapshot_every", 1))
+# The most agents or rounds: Population.from_shares counts agents in float64, exact up to 2**53.
+_MAX_COUNT = 2**53
 
 
 def _plain(value, name: str):
@@ -58,6 +60,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not (isinstance(value, int) and _is_finite_number(value) and value >= least):
                 raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+        for name in ("population", "rounds"):
+            if getattr(self, name) > _MAX_COUNT:
+                raise ValueError(f"{name} must be at most 2**53 = {_MAX_COUNT}, got {getattr(self, name)}")
         for name in ("birth_rate", "mutation_rate"):
             value = getattr(self, name)
             if not (_is_finite_number(value) and 0.0 <= value <= 1.0):
@@ -211,21 +216,19 @@ SWEEPS = {
 }
 
 
-def sweep_configs(
-    sweep: str, base: ExperimentConfig, runs: int, seed: int
-) -> list[tuple[ExperimentConfig, dict]]:
+def sweep_configs(sweep: str, base: ExperimentConfig, runs: int) -> list[tuple[ExperimentConfig, dict]]:
     """Per-run configs of ``sweep`` over ``base``, each with its drawn ``game_params`` overrides.
 
-    Run i's seed and its draws come from two streams spawned off ``seed``, so
-    a run does not depend on how many runs come before or after it.
+    Run i's seed and its draws come from two streams spawned off ``base.seed``,
+    so a run does not depend on how many runs come before or after it.
     """
     if runs < 1:
         raise ValueError(f"runs must be >= 1, got {runs}")
     draw = SWEEPS[sweep][2]
     out: list[tuple[ExperimentConfig, dict]] = []
     for i in range(runs):
-        run_seed = int(np.random.SeedSequence(entropy=seed, spawn_key=(i,)).generate_state(1)[0])
-        drawn = draw(np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i, 1))), i)
+        run_seed = int(np.random.SeedSequence(entropy=base.seed, spawn_key=(i,)).generate_state(1)[0])
+        drawn = draw(np.random.default_rng(np.random.SeedSequence(entropy=base.seed, spawn_key=(i, 1))), i)
         out.append((replace(base, game_params=dict(base.game_params, **drawn), seed=run_seed), drawn))
     return out
 

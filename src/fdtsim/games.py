@@ -110,30 +110,10 @@ _PD_POLICIES = list(itertools.product("DC", repeat=3))
 _PD_POLICY_COOP = np.array(_PD_POLICIES) == "C"
 # _PD_PAIRS[s][j]: the indices of the policies D and C on signal s, j-th product("DC") pair elsewhere.
 _PD_PAIRS = [list(zip(np.flatnonzero(~c).tolist(), np.flatnonzero(c).tolist())) for c in _PD_POLICY_COOP.T]
-_ACTIONS = np.array([[0], [1]])  # D, C down the rows
-# _PD_TRIALS[policy, signal, action]: the policy with that component forced to the action.
-_PD_TRIALS = np.where(
-    np.eye(3, dtype=bool)[:, None, :], _ACTIONS, _PD_POLICY_COOP[:, None, None, :]
-)
 # _PD_FDT_COOP[policy, 4 * opponent type t + 2 * correct + alt]: whether an FDT agent
 # cooperates; a wrong signal about type t names type (t + 1 + alt) % 3.
 _SEEN = [t if correct else (t + 1 + alt) % 3 for t in range(3) for correct in (0, 1) for alt in (0, 1)]
 _PD_FDT_COOP = _PD_POLICY_COOP[:, _SEEN].astype(np.uint8)
-
-
-def _pd_payoff(payoffs: tuple[float, float, float, float], own_coop, opp_coop):
-    """Row player's expected payoff when each side cooperates with the given probability.
-
-    ``payoffs`` is (CC, CD, DC, DD). At probabilities 0 and 1 this is exactly
-    the matching entry of the payoff table.
-    """
-    cc, cd, dc, dd = payoffs
-    return (
-        own_coop * opp_coop * cc
-        + own_coop * (1.0 - opp_coop) * cd
-        + (1.0 - own_coop) * opp_coop * dc
-        + (1.0 - own_coop) * (1.0 - opp_coop) * dd
-    )
 
 
 class _PdTables:
@@ -143,21 +123,26 @@ class _PdTables:
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
         likelihoods = signal_likelihoods(config.signal_accuracy, 3)
         # As floats: an integer payoff beyond int64 cannot multiply an int64 array.
-        payoffs = tuple(float(v) for v in (config.cc, config.cd, config.dc, config.dd))
-        payoff = _pd_payoff(payoffs, _ACTIONS, _ACTIONS.T)  # [own action, opponent action]
-        # vs_fdt[policy, signal, action]: EU against an FDT opponent (see component_eus).
-        vs_fdt = (likelihoods[:, PD_FDT] * payoff[_ACTIONS, _PD_TRIALS]).sum(-1)
-        # K[policy, own, opp]: probability that type ``own`` cooperates against type ``opp``,
-        # and type_payoffs[policy, own, opp]: ``own``'s expected round payoff under that K.
-        k = np.zeros((len(_PD_POLICIES), 3, 3))
-        k[:, PD_COOPERATOR, :] = 1.0
-        k[:, PD_FDT, :] = (_PD_POLICY_COOP[:, None, :] * likelihoods.T).sum(-1)
-        self.type_payoffs = _pd_payoff(payoffs, k, np.swapaxes(k, -1, -2))
+        cc, cd, dc, dd = (float(v) for v in (config.cc, config.cd, config.dc, config.dd))
+        payoff = np.array([[dd, dc], [cd, cc]])  # [own action, opponent action], D = 0, C = 1
+        # vs[action, policy]: the action's EU against an FDT opponent that follows the policy.
+        vs = (likelihoods[:, PD_FDT] * payoff[:, _PD_POLICY_COOP.astype(int)]).sum(-1)
+        # own[policy, i, j] (K): probability that type i cooperates against type j, opp its transpose;
+        # type_payoffs[policy, i, j]: type i's expected round payoff against type j under that K.
+        own = np.zeros((len(_PD_POLICIES), 3, 3))
+        own[:, PD_COOPERATOR, :] = 1.0
+        own[:, PD_FDT, :] = (_PD_POLICY_COOP[:, None, :] * likelihoods.T).sum(-1)
+        opp = np.swapaxes(own, -1, -2)
+        self.type_payoffs = (
+            own * opp * cc + own * (1.0 - opp) * cd + (1.0 - own) * opp * dc + (1.0 - own) * (1.0 - opp) * dd
+        )
         # Each side's payoff indexed by 2 * (side 1 cooperates) + (side 2 cooperates).
         self.pair_payoffs = payoff.ravel(), payoff.T.ravel()
         # The solver's tables, as floats: numpy's per-call cost would outweigh the arithmetic.
         self.likelihoods, self.payoff = likelihoods.tolist(), payoff.tolist()
-        self.vs_fdt = [vs_fdt[~coop, signal].tolist() for signal, coop in enumerate(_PD_POLICY_COOP.T)]
+        # An FDT opponent runs this agent's function: in a pair, D meets the D member and C the C one.
+        vs_d, vs_c = vs.tolist()
+        self.vs_fdt = [[(vs_d[with_d], vs_c[with_c]) for with_d, with_c in pairs] for pairs in _PD_PAIRS]
         self.fdt_payoffs = self.type_payoffs[:, PD_FDT].tolist()
 
     def component_eus(self, shares, signals) -> list[list[tuple[float, float]]]:

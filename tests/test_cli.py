@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -339,6 +340,10 @@ REPRODUCERS = {
         None,
     ),
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
+    # Counts beyond 2**53, past which from_shares' float arithmetic is not exact.
+    "population-1e20": (["evolve", "--preset", "newcomb-baseline", "--population", str(10**20)], None),
+    "population-int64-max": (["evolve", "--preset", "newcomb-baseline", "--population", str(2**63 - 1)], None),
+    "rounds-1e20": (EVOLVE_PD + ["--rounds", str(10**20)], None),
     # Usage errors found by argparse itself.
     "string-population-flag": (["evolve", "--population", "abc"], None),
     "unknown-theory": (["scenario", "newcomb", "--theory", "xdt"], None),
@@ -411,6 +416,15 @@ def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+# The error names the field, not a numpy failure deep in the run.
+@pytest.mark.parametrize("case, name", [
+    ("population-1e20", "population"), ("population-int64-max", "population"), ("rounds-1e20", "rounds"),
+])
+def test_count_beyond_2_53_exits_1_naming_the_field(case, name, capsys):
+    assert cli.main(REPRODUCERS[case][0]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {name} must be at most 2**53 ")
+
+
 def test_sweep_writes_one_csv_per_run(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = cli.main([
@@ -458,8 +472,18 @@ def test_pd_payoff_sweep_draws_are_dilemmas():
 
 def test_signal_sweep_grid():
     base, runs, _ = SWEEPS["pd-signal-sweep"]
-    configs = experiments.sweep_configs("pd-signal-sweep", base, runs, 0)
+    configs = experiments.sweep_configs("pd-signal-sweep", base, runs)
     accuracies = [info["signal_accuracy"] for _, info in configs]
     assert accuracies == [0.5, 0.6, 0.65, 0.7, 0.8, 0.9]
     seeds = {cfg.seed for cfg, _ in configs}
     assert len(seeds) == len(configs)  # per-run derived seeds are distinct
+
+
+# Run i is the same whatever --runs is, and --seed seeds every run of the sweep.
+@pytest.mark.parametrize("preset", sorted(SWEEPS))
+def test_sweep_run_depends_only_on_its_index_and_the_base_seed(preset):
+    base = SWEEPS[preset][0]
+    five = experiments.sweep_configs(preset, base, 5)
+    assert experiments.sweep_configs(preset, base, 2) == five[:2]
+    reseeded = experiments.sweep_configs(preset, replace(base, seed=1), 5)
+    assert not {cfg.seed for cfg, _ in five} & {cfg.seed for cfg, _ in reseeded}

@@ -94,6 +94,8 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         (pd_dict(initial_shares="abc"), "initial_shares"),
         (pd_dict(initial_shares=[10**400, 0, 0]), "initial_shares"),
         (pd_dict(population=10**400), "population"),
+        (pd_dict(population=2**53 + 1), "population must be at most 2"),
+        (pd_dict(rounds=2**53 + 1), "rounds must be at most 2"),
         (dict(VALID["beauty"], game_params={"low": -1e308, "high": 1e308}), "high - low"),
     ],
 )

@@ -91,7 +91,7 @@ def sweep_digest(preset: str) -> str:
     """One digest over the CSVs of every run of a shortened sweep, in run order."""
     base = replace(SWEEPS[preset][0], population=200, generations=10, rounds=10)
     digest = hashlib.sha256()
-    for config, _ in experiments.sweep_configs(preset, base, SWEEP_RUNS, 0):
+    for config, _ in experiments.sweep_configs(preset, base, SWEEP_RUNS):
         digest.update(experiments.trajectory_csv(experiments.run(config), config).encode())
     return digest.hexdigest()
 
