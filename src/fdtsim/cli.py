@@ -151,16 +151,19 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         info = " ".join(f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}" for k, v in drawn.items())
         try:
             _run_one(config, out, f"run {i} [{info}]")
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:
             raise ValueError(f"run {i}: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; every fdtsim error exits 1 (``ValueError``) or 2 (``OSError``) with one line."""
+    """Run one command; every fdtsim error exits 1 (``ValueError``) or 2 (``OSError``) with one line.
+
+    A ``MemoryError``, from a population or round count too large to allocate, exits 1 too.
+    """
     try:
         args = build_parser().parse_args(argv)
         {"scenario": _cmd_scenario, "evolve": _cmd_evolve, "sweep": _cmd_sweep}[args.command](args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, MemoryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_USAGE
     return EXIT_OK

@@ -94,8 +94,9 @@ class BeautyConfig:
         _check_finite(self)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
-        if self.cap <= 0.0:
-            raise ValueError(f"cap must be positive, got {self.cap}")
+        # A subnormal cap has 1 / cap = inf: every error would score 1 / inf = 0.
+        if not (self.cap > 0.0 and _is_finite_number(1.0 / self.cap)):
+            raise ValueError(f"cap must be positive, with 1 / cap finite, got {self.cap}")
         if not (self.high > self.low and _is_finite_number(float(self.high) - float(self.low))):
             raise ValueError(f"guess range must be nonempty, high - low finite: [{self.low}, {self.high}]")
 

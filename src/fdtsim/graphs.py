@@ -10,8 +10,9 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import operator
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -160,9 +161,16 @@ def _check_evidence(model: CausalModel, evidence: Assignment) -> None:
             raise ValueError(f"evidence label {label!r} is not in the domain {domain} of {var!r}")
 
 
+def _key_getter(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
+    """A function from an assignment to its labels at ``pos``, as a tuple: ``()`` for no position."""
+    if len(pos) > 1:
+        return operator.itemgetter(*pos)
+    return (lambda asg, i=pos[0]: (asg[i],)) if pos else (lambda asg: ())
+
+
 @functools.lru_cache(maxsize=256)
-def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ...]]:
-    """The topological order of ``shape``'s (id, parents) pairs, and each node's parent positions in it.
+def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[Callable[[tuple], tuple], ...]]:
+    """The topological order of ``shape``'s (id, parents) pairs, and each node's CPT row-key getter in it.
 
     Kahn's algorithm, each level in sorted order; raises ValueError on a
     dangling parent or a cycle. The results are tuples, so no caller can change a cached one.
@@ -178,7 +186,7 @@ def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[tuple[int, ...], ..
             raise ValueError("parent graph contains a cycle")
         order += free
         remaining = {vid: deps.difference(free) for vid, deps in remaining.items() if deps}
-    return tuple(order), tuple(tuple(map(order.index, parents[vid])) for vid in order)
+    return tuple(order), tuple(_key_getter(tuple(map(order.index, parents[vid]))) for vid in order)
 
 
 def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment) -> tuple[tuple, list]:
@@ -195,9 +203,9 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
         shape = tuple((vid, cpts[vid].parents) for vid in model._domains)
     except KeyError as missing:
         raise ValueError(f"variable {missing.args[0]!r} has no CPT") from None
-    order, positions = _structure(shape)
+    order, row_keys = _structure(shape)
     states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
-    for vid, pos in zip(order, positions):
+    for vid, row_key in zip(order, row_keys):
         cpt, want, domain = cpts[vid], evidence.get(vid), model._domains[vid]
         try:
             rows = {
@@ -208,7 +216,7 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
             states = [
                 (asg + (label,), prob * p)
                 for asg, prob in states
-                for label, p in rows[tuple(map(asg.__getitem__, pos))]
+                for label, p in rows[row_key(asg)]
             ]
         except ValueError:  # from zip: a row longer or shorter than the domain
             key = next(key for key, row in cpt.table.items() if len(row) != len(domain))
@@ -254,27 +262,29 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
     the order and the products of enumerating the model forced to that
     action alone, so each action's sums are the same to the last bit.
     """
-    model, act, actions = problem.model, problem.action_var, problem.actions
-    cpts, evidence = dict(model.cpts), dict(problem.evidence)
+    model, act, actions, utility = problem.model, problem.action_var, problem.actions, problem.model.utility
+    cpts, evidence = model.cpts, problem.evidence  # read only: copied before any change
     if theory == "edt":
-        evidence.pop(act, None)
+        if act in evidence:
+            evidence = {var: label for var, label in evidence.items() if var != act}
     elif theory == "fdt" and problem.decision_fn_var is None:
         raise MissingDecisionFunctionError(
             "problem has no decision-function variable; functional evaluation undefined"
         )
     else:
+        cpts = dict(cpts)
         cpts.update(_interventions(act, problem.decision_fn_var if theory == "fdt" else None, actions))
     order, states = _enumerate(model, cpts, evidence)
     try:
-        at, outcome_at = order.index(act), [order.index(ov) for ov in model.outcome_vars]
+        at, outcome_key = order.index(act), _key_getter(tuple(order.index(ov) for ov in model.outcome_vars))
     except ValueError:
         unknown = next(ov for ov in model.outcome_vars if ov not in order)
         raise ValueError(f"outcome variable {unknown!r} not in model") from None
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
     for asg, p in states:
-        action, outcome = asg[at], tuple(map(asg.__getitem__, outcome_at))
+        action, outcome = asg[at], outcome_key(asg)
         totals[action] += p
-        if (u := model.utility.get(outcome)) is None:
+        if (u := utility.get(outcome)) is None:
             missing.setdefault(action, outcome)
         else:
             accs[action] += p * u

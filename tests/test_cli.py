@@ -310,6 +310,15 @@ def test_sweep_run_that_cannot_finish_exits_1_naming_the_run(capsys):
     assert captured.err.startswith("error: run 0: ") and captured.err.count("\n") == 1
 
 
+# At N = 2**53 numpy refuses to allocate the start types: the MemoryError names the run too.
+def test_sweep_run_too_large_to_allocate_exits_1_naming_the_run(capsys):
+    assert cli.main(["sweep", "--preset", "newcomb-sweep", "--runs", "2", "--population", str(2**53),
+                     "--generations", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "sweep newcomb-sweep: 2 runs\n"
+    assert captured.err.startswith("error: run 0: Unable to allocate ") and captured.err.count("\n") == 1
+
+
 PD_RUN = {
     "game": "pd", "population": 40, "generations": 2, "rounds": 3,
     "initial_shares": [1 / 3, 1 / 3, 1 / 3], "birth_rate": 0.05,
@@ -344,6 +353,18 @@ REPRODUCERS = {
     "population-1e20": (["evolve", "--preset", "newcomb-baseline", "--population", str(10**20)], None),
     "population-int64-max": (["evolve", "--preset", "newcomb-baseline", "--population", str(2**63 - 1)], None),
     "rounds-1e20": (EVOLVE_PD + ["--rounds", str(10**20)], None),
+    # Counts within 2**53 whose arrays numpy refuses outright (64 and 71 PiB): no allocation is attempted.
+    "population-2-53-allocation": (
+        ["evolve", "--preset", "newcomb-baseline", "--population", str(2**53), "--generations", "1"], None
+    ),
+    "rounds-1e12-allocation": (EVOLVE_PD + ["--rounds", str(10**12), "--generations", "1"], None),
+    # 1 / cap overflows to inf for a subnormal cap, which would score every agent 1 / inf = 0.
+    "beauty-subnormal-cap": (
+        CONFIG,
+        {"game": "beauty", "population": 23, "generations": 1, "rounds": 3,
+         "initial_shares": [0.34, 0.33, 0.33], "birth_rate": 0.0, "mutation_rate": 0.0, "seed": 1,
+         "game_params": {"cap": 5e-324}},
+    ),
     # Usage errors found by argparse itself.
     "string-population-flag": (["evolve", "--population", "abc"], None),
     "unknown-theory": (["scenario", "newcomb", "--theory", "xdt"], None),

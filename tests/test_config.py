@@ -97,6 +97,7 @@ def test_from_dict_takes_defaults_from_the_dataclass():
         (pd_dict(population=2**53 + 1), "population must be at most 2"),
         (pd_dict(rounds=2**53 + 1), "rounds must be at most 2"),
         (dict(VALID["beauty"], game_params={"low": -1e308, "high": 1e308}), "high - low"),
+        (dict(VALID["beauty"], game_params={"cap": 5e-324}), "cap"),
     ],
 )
 def test_from_dict_rejects_bad_input(data, message):

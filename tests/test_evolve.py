@@ -184,6 +184,15 @@ def test_mutation_touches_expected_count():
     assert counts[0] < 60  # some mutated away with overwhelming probability
 
 
+def test_mutants_are_drawn_over_all_k_types():
+    # Every agent is redrawn uniformly over k = 3 types: each count is Binomial(3000, 1/3).
+    n, k = 3000, 3
+    cfg = config(population=n, birth_rate=0.0, mutation_rate=1.0, generations=1)
+    new = repopulate(np.zeros(n, dtype=np.int64), np.ones(n), cfg, k, np.random.default_rng(11))
+    sd = (n * (1 / k) * (1 - 1 / k)) ** 0.5
+    assert all(abs(count - n / k) <= 6 * sd for count in np.bincount(new, minlength=k).tolist())
+
+
 def test_trajectory_shape_and_determinism():
     cfg = config(generations=7, mutation_rate=0.05, seed=42)
     t1 = run_experiment(cfg, ConstantGame())
@@ -210,6 +219,23 @@ def test_mean_scores_reflect_play():
     traj = run_experiment(cfg, ConstantGame((1.0, 2.0, 3.0)))
     record = traj.records[0]
     assert list(record.mean_scores) == pytest.approx([5.0, 10.0, 15.0])
+
+
+def test_mean_scores_divide_by_the_counts_that_played_under_births_and_mutation():
+    # Counts change every generation: each mean is over the agents that played it,
+    # so a type that played reads rounds * value exactly and one that did not reads 0.0.
+    values, rounds = (1.0, 2.0, 5.0), 7
+    cfg = config(population=40, generations=12, rounds=rounds, birth_rate=0.2, mutation_rate=0.1,
+                 initial_shares=(0.5, 0.5, 0.0), seed=4)
+    traj = run_experiment(cfg, ConstantGame(values))
+    played = Population.from_shares(ConstantGame.type_names, cfg.initial_shares, cfg.population).counts().tolist()
+    absent = moved = 0
+    for record in traj.records:
+        assert record.mean_scores == tuple(rounds * v if count else 0.0 for v, count in zip(values, played))
+        absent += 0 in played
+        moved += tuple(played) != record.counts
+        played = record.counts
+    assert absent and moved  # both cases were exercised
 
 
 def test_selection_favors_high_scores():

@@ -310,9 +310,11 @@ def test_same_ids_under_other_edges_get_their_own_order():
 
 
 def test_cached_structure_is_immutable():
-    order, positions = graphs._structure((("A", ()), ("B", ("A",)), ("C", ("A", "B"))))
-    assert order == ("A", "B", "C") and positions == ((), (0,), (0, 1))
-    assert isinstance(order, tuple) and all(isinstance(p, tuple) for p in positions)
+    order, row_keys = graphs._structure((("A", ()), ("C", ("B", "A")), ("B", ("A",))))
+    assert order == ("A", "B", "C") and isinstance(order, tuple) and isinstance(row_keys, tuple)
+    # Each getter gives the node's parent labels in its CPT's parent order: 0, 1 and 2 parents.
+    asg = ("a", "b", "c")
+    assert [key(asg) for key in row_keys] == [tuple(asg[i] for i in pos) for pos in ((), (0,), (1, 0))]
 
 
 def test_cycle_raises_on_every_call():
