@@ -1,8 +1,9 @@
 """The start allocation and the generation loop.
 
-Each generation: play the configured number of rounds, then replace a fixed
-fraction of the population (births weighted by score, deaths inversely
-weighted by score, both sampled from the pre-update snapshot), then mutate a
+Each generation: the game decides from the current shares (``decide``), plays
+the configured number of rounds with that decision, then the loop replaces a
+fixed fraction of the population (births weighted by score, deaths inversely
+weighted by score, both sampled from the pre-update snapshot) and mutates a
 smaller fraction to uniformly random types. All randomness flows from a
 master seed through per-generation streams, so a run is reproducible
 bit-for-bit regardless of how rounds are scheduled.
@@ -26,7 +27,9 @@ class NonPositiveScoreError(ValueError):
 class GameAdapter(Protocol):
     type_names: tuple[str, ...]
 
-    def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray: ...
+    def decide(self, shares: tuple[float, ...]): ...
+
+    def play_generation(self, types: np.ndarray, decision, rounds: int, rng) -> np.ndarray: ...
 
 
 class Population:
@@ -151,9 +154,11 @@ def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:
     start = Population.from_shares(game.type_names, config.initial_shares, config.population)
     trajectory = Trajectory(type_names=tuple(game.type_names))
     types, k, n, counts = start.types, len(start.type_names), start.types.size, start.counts().tolist()
+    shares = tuple(count / n for count in counts)
     with np.errstate(over="ignore"):  # no warning: a score sum that overflows raises instead
         for generation in range(1, config.generations + 1):
-            scores = game.play_generation(types, config.rounds, _stream(config.seed, generation, 0))
+            decision = game.decide(shares)
+            scores = game.play_generation(types, decision, config.rounds, _stream(config.seed, generation, 0))
             scores = np.asarray(scores, dtype=float)
             sums = np.bincount(types, weights=scores, minlength=k).tolist()
             for name, total in zip(game.type_names, sums):  # repopulate checks them only with births

@@ -53,12 +53,13 @@ class PdConfig:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        if not self.dc > self.cc > self.dd > self.cd:
+        # Checked as the floats the tables play with: 2**60 + 2 and 2**60 are one float.
+        cc, cd, dc, dd = (float(v) for v in (self.cc, self.cd, self.dc, self.dd))
+        if not dc > cc > dd > cd:
             raise ValueError(
-                "payoffs must satisfy DC > CC > DD > CD, got "
-                f"DC={self.dc} CC={self.cc} DD={self.dd} CD={self.cd}"
+                f"payoffs must satisfy DC > CC > DD > CD as floats, got DC={dc} CC={cc} DD={dd} CD={cd}"
             )
-        if self.cd <= 0.0:
+        if cd <= 0.0:
             raise ValueError("all payoffs must be positive")
         if not 0.0 <= self.signal_accuracy <= 1.0:
             raise ValueError(f"signal_accuracy must be in [0, 1], got {self.signal_accuracy}")
@@ -77,8 +78,9 @@ class NewcombConfig:
 
     def __post_init__(self) -> None:
         _check_finite(self)
-        if not self.high > self.low > 0.0:
-            raise ValueError(f"need high > low > 0, got high={self.high} low={self.low}")
+        high, low = float(self.high), float(self.low)  # as the floats the scenario plays with
+        if not high > low > 0.0:
+            raise ValueError(f"need high > low > 0 as floats, got high={high} low={low}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
 
@@ -97,8 +99,9 @@ class BeautyConfig:
         # A subnormal cap has 1 / cap = inf: every error would score 1 / inf = 0.
         if not (self.cap > 0.0 and _is_finite_number(1.0 / self.cap)):
             raise ValueError(f"cap must be positive, with 1 / cap finite, got {self.cap}")
-        if not (self.high > self.low and _is_finite_number(float(self.high) - float(self.low))):
-            raise ValueError(f"guess range must be nonempty, high - low finite: [{self.low}, {self.high}]")
+        low, high = float(self.low), float(self.high)  # as the floats the draws use
+        if not (high > low and _is_finite_number(high - low)):
+            raise ValueError(f"guess range must be nonempty, high - low finite, as floats: [{low}, {high}]")
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +276,11 @@ class PdGame:
     def __init__(self, config: PdConfig):
         self.config = config
 
-    def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
+    def decide(self, shares) -> PdPolicy:
+        return solve_fdt_pd_policy(self.config, shares)
+
+    def play_generation(self, types: np.ndarray, policy: PdPolicy, rounds: int, rng) -> np.ndarray:
         n = types.size
-        policy = solve_fdt_pd_policy(self.config, (np.bincount(types, minlength=3) / n).tolist())
         # All matchings at once: one independent permutation per round.
         perms = np.tile(np.arange(n), (rounds, 1))
         rng.permuted(perms, axis=1, out=perms)
@@ -301,19 +306,22 @@ class NewcombGame:
         self.config = config
         problem = build("newcomb-transparent", high=config.high, low=config.low, accuracy=config.accuracy)
         self.choices = tuple(decide(problem, theory).chosen for theory in NEWCOMB_TYPES)
-        # Each type's utility when the prediction is wrong or right; as floats, no int64 sum can wrap.
+        # Each choice's utility when the prediction is wrong and right; as floats, no int64 sum can wrap.
         utility, other = problem.model.utility, dict(zip(problem.actions, problem.actions[::-1]))
-        self._wrong = np.array([utility[choice, other[choice]] for choice in self.choices])
-        self._right = np.array([utility[choice, choice] for choice in self.choices])
+        self._utility = {choice: (utility[choice, other[choice]], utility[choice, choice]) for choice in other}
 
-    def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
+    def decide(self, shares) -> tuple[str, str]:
+        return self.choices
+
+    def play_generation(self, types: np.ndarray, choices, rounds: int, rng) -> np.ndarray:
         """Each agent's utility over ``rounds`` encounters, one uniform per agent per round.
 
-        The predictor reads the would-be choice right with probability ``accuracy``
-        and fills the big box only on a one-box read; facing it empty, an agent takes low.
+        The predictor reads the would-be choice of each type (``choices``) right with probability
+        ``accuracy`` and fills the big box only on a one-box read; facing it empty, an agent takes low.
         """
+        wrong, right = np.array([self._utility[choice] for choice in choices]).T
         draws = rng.random((rounds, types.size))
-        return np.where(draws < self.config.accuracy, self._right[types], self._wrong[types]).sum(axis=0)
+        return np.where(draws < self.config.accuracy, right[types], wrong[types]).sum(axis=0)
 
 
 class BeautyGame:
@@ -329,20 +337,22 @@ class BeautyGame:
     def __init__(self, config: BeautyConfig):
         self.config = config
 
-    def play_generation(self, types: np.ndarray, rounds: int, rng) -> np.ndarray:
+    def decide(self, shares) -> tuple[float, float]:
+        return beauty_guesses(shares, self.config)
+
+    def play_generation(self, types: np.ndarray, guesses, rounds: int, rng) -> np.ndarray:
         """Per-agent utilities summed over ``rounds`` guessing rounds.
 
         Every round the Random agents draw fresh guesses; the CDT and FDT
-        guesses depend only on the shares, which are fixed within a
-        generation. Utility is the inverse distance to ``fraction`` times the
-        realized average guess, capped, so errors of 1/cap or less score
-        exactly the cap.
+        agents guess ``guesses``, fixed within a generation. Utility is the
+        inverse distance to ``fraction`` times the realized average guess,
+        capped, so errors of 1/cap or less score exactly the cap.
         """
         config = self.config
         n = types.size
         if n == 0:
             raise ValueError("population is empty")
-        cdt_guess, fdt_guess = beauty_guesses(np.bincount(types, minlength=3) / n, config)
+        cdt_guess, fdt_guess = guesses
         is_cdt = types == BEAUTY_CDT
         random_at = np.flatnonzero(types == BEAUTY_RANDOM)
         block = max(1, _BLOCK_ELEMENTS // n)

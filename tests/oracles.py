@@ -30,7 +30,6 @@ from fdtsim.graphs import (
     ZeroProbabilityError,
 )
 from fdtsim.games import (
-    NEWCOMB_TYPES,
     PD_COOPERATOR,
     PD_DEFECTOR,
     PD_FDT,
@@ -39,7 +38,6 @@ from fdtsim.games import (
     BEAUTY_FDT,
     BEAUTY_RANDOM,
     NoFixedPointError,
-    beauty_guesses,
 )
 
 
@@ -240,11 +238,9 @@ def solve_fdt_pd_policy(config, shares):
     return tuple(min(fixed, key=rank))
 
 
-def pd_play_generation(config, types, rounds, rng):
+def pd_play_generation(config, types, policy, rounds, rng):
     """``PdGame.play_generation`` on the kernel above."""
     n = types.size
-    shares = np.bincount(types, minlength=3) / n
-    policy = solve_fdt_pd_policy(config, shares)
     perms = np.tile(np.arange(n), (rounds, 1))
     rng.permuted(perms, axis=1, out=perms)
     if n % 2:
@@ -285,12 +281,10 @@ def newcomb_play_round(theory, config, rng):
     return config.high if would_one_box else config.high + config.low
 
 
-def newcomb_play_generation(config, types, rounds, rng):
+def newcomb_play_generation(config, types, choices, rounds, rng):
     """``NewcombGame.play_generation`` as an inline (rounds, N) computation."""
     correct = rng.random((rounds, types.size)) < config.accuracy
-    one_box_by_type = np.array(
-        [newcomb_choice(name, config) == "one-box" for name in NEWCOMB_TYPES]
-    )
+    one_box_by_type = np.array([choice == "one-box" for choice in choices])
     would_one_box = one_box_by_type[types]
     predicted_one_box = would_one_box[None, :] == correct
     utilities = np.where(
@@ -305,13 +299,12 @@ def newcomb_play_generation(config, types, rounds, rng):
 # Keynesian beauty contest
 # ---------------------------------------------------------------------------
 
-def beauty_play_round(types, config, rng):
-    """One whole-population guessing round; returns per-agent utilities."""
+def beauty_play_round(types, decision, config, rng):
+    """One whole-population guessing round; the CDT and FDT agents guess ``decision``."""
     types = np.asarray(types)
     if types.size == 0:
         raise ValueError("population is empty")
-    counts = np.bincount(types, minlength=3)
-    cdt_guess, fdt_guess = beauty_guesses(counts / types.size, config)
+    cdt_guess, fdt_guess = decision
     guesses = np.empty(types.size)
     random_mask = types == BEAUTY_RANDOM
     guesses[random_mask] = rng.uniform(config.low, config.high, int(random_mask.sum()))
@@ -322,11 +315,11 @@ def beauty_play_round(types, config, rng):
     return np.minimum(config.cap, 1.0 / np.maximum(error, 1.0 / config.cap))
 
 
-def beauty_play_generation(config, types, rounds, rng):
+def beauty_play_generation(config, types, decision, rounds, rng):
     """``BeautyGame.play_generation`` as a loop over whole-population rounds."""
     scores = np.zeros(types.size)
     for _ in range(rounds):
-        scores += beauty_play_round(types, config, rng)
+        scores += beauty_play_round(types, decision, config, rng)
     return scores
 
 

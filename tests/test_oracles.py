@@ -3,9 +3,10 @@
 The library kernels only reorganise the work around the random draws, so
 each must return the same bytes and leave the generator in the same state
 as its reference version, for every population, round count, parameter
-set and (for the beauty contest) block size of rounds, including odd
-populations, extinct types, a single Random agent and perfect or useless
-signals. The graph engine scores all actions
+set, decision (any FDT policy, Newcomb choices or beauty guesses, not only
+the solved ones) and (for the beauty contest) block size of rounds,
+including odd populations, extinct types, a single Random agent and
+perfect or useless signals. The graph engine scores all actions
 from one enumeration, and must give each action the bits, or the error,
 of scoring it alone on its own intervened model. The births and deaths of
 ``evolve.repopulate`` must be numpy's own ``Generator.choice``, draw for draw.
@@ -71,67 +72,81 @@ def newcomb_configs(draw):
     return NewcombConfig(high=low + draw(st.floats(0.1, 1e4)), low=low, accuracy=draw(accuracies))
 
 
-def outcome(play, types, rounds, seed):
-    """Score bytes (or the solver's exception type) and the final generator state."""
+@st.composite
+def beauty_decisions(draw):
+    """A beauty config and a (CDT, FDT) guess pair drawn anywhere in its range, not only the solved one."""
+    config = draw(beauty_configs())
+    guess = st.floats(config.low, config.high)
+    return config, (draw(guess), draw(guess))
+
+
+# Every decision a kernel can be given: each of the eight FDT policies, and each pair of Newcomb choices.
+pd_policies = st.sampled_from(games._PD_POLICIES)
+newcomb_choices = st.sampled_from(list(itertools.product(("one-box", "two-box"), repeat=2)))
+
+
+def outcome(play, types, decision, rounds, seed):
+    """Score bytes and the final generator state."""
     rng = np.random.default_rng(seed)
-    try:
-        scores = play(np.array(types, dtype=np.int64), rounds, rng)
-    except SOLVER_ERRORS as exc:
-        return type(exc), rng.bit_generator.state
+    scores = play(np.array(types, dtype=np.int64), decision, rounds, rng)
     return scores.dtype, scores.tobytes(), rng.bit_generator.state
 
 
-@given(pd_configs(), populations(3), rounds, seeds)
+@given(pd_configs(), populations(3), pd_policies, rounds, seeds)
 @settings(max_examples=200)
-@example(PdConfig(signal_accuracy=1.0), [0, 1, 2, 2, 1], 7, 0)
-@example(PdConfig(signal_accuracy=0.0), [2] * 9, 12, 1)
-@example(PdConfig(cc=7.3, cd=1.1, dc=10.7, dd=4.2), [2, 0, 2, 1, 2, 2, 0], 5, 2)
-def test_pd_generation_matches_oracle(config, types, rounds, seed):
+@example(PdConfig(signal_accuracy=1.0), [0, 1, 2, 2, 1], ("D", "C", "C"), 7, 0)
+@example(PdConfig(signal_accuracy=0.0), [2] * 9, ("C", "D", "C"), 12, 1)
+@example(PdConfig(cc=7.3, cd=1.1, dc=10.7, dd=4.2), [2, 0, 2, 1, 2, 2, 0], ("D", "D", "C"), 5, 2)
+def test_pd_generation_matches_oracle(config, types, policy, rounds, seed):
     oracle = partial(oracles.pd_play_generation, config)
-    assert outcome(PdGame(config).play_generation, types, rounds, seed) == outcome(
-        oracle, types, rounds, seed
+    assert outcome(PdGame(config).play_generation, types, policy, rounds, seed) == outcome(
+        oracle, types, policy, rounds, seed
     )
 
 
-@given(newcomb_configs(), populations(2), rounds, seeds)
+@given(newcomb_configs(), populations(2), newcomb_choices, rounds, seeds)
 @settings(max_examples=200)
-@example(NewcombConfig(accuracy=0.0), [0, 1, 1], 3, 0)
-@example(NewcombConfig(accuracy=1.0), [1], 12, 1)
-def test_newcomb_generation_matches_oracle(config, types, rounds, seed):
+@example(NewcombConfig(accuracy=0.0), [0, 1, 1], ("two-box", "one-box"), 3, 0)
+@example(NewcombConfig(accuracy=1.0), [1], ("one-box", "two-box"), 12, 1)
+def test_newcomb_generation_matches_oracle(config, types, choices, rounds, seed):
     oracle = partial(oracles.newcomb_play_generation, config)
-    assert outcome(NewcombGame(config).play_generation, types, rounds, seed) == outcome(
-        oracle, types, rounds, seed
+    assert outcome(NewcombGame(config).play_generation, types, choices, rounds, seed) == outcome(
+        oracle, types, choices, rounds, seed
     )
 
 
-@given(beauty_configs(), populations(3), rounds, seeds)
+@given(beauty_decisions(), populations(3), rounds, seeds)
 @settings(max_examples=200)
-@example(BeautyConfig(), [1, 0, 2, 1, 2, 1], 12, 0)  # exactly one Random agent
-@example(BeautyConfig(), [0], 12, 1)
-@example(BeautyConfig(), [1, 1, 1], 4, 2)  # Random and FDT extinct
-def test_beauty_generation_matches_oracle(config, types, rounds, seed):
+@example((BeautyConfig(), (450 / 19, 400 / 19)), [1, 0, 2, 1, 2, 1], 12, 0)  # exactly one Random agent
+@example((BeautyConfig(), (0.0, 100.0)), [0], 12, 1)
+@example((BeautyConfig(), (0.0, 0.0)), [1, 1, 1], 4, 2)  # Random and FDT extinct
+def test_beauty_generation_matches_oracle(case, types, rounds, seed):
+    config, guesses = case
     oracle = partial(oracles.beauty_play_generation, config)
-    assert outcome(BeautyGame(config).play_generation, types, rounds, seed) == outcome(
-        oracle, types, rounds, seed
+    assert outcome(BeautyGame(config).play_generation, types, guesses, rounds, seed) == outcome(
+        oracle, types, guesses, rounds, seed
     )
 
 
-@given(beauty_configs(), populations(3), rounds, seeds, st.data())
+@given(beauty_decisions(), populations(3), rounds, seeds, st.data())
 @settings(max_examples=200)
-def test_beauty_generation_in_blocks_of_any_size_matches_oracle(config, types, rounds, seed, data):
+def test_beauty_generation_in_blocks_of_any_size_matches_oracle(case, types, rounds, seed, data):
     # Every block size from one round to the whole generation, with a short last block.
+    config, guesses = case
     elements = data.draw(st.integers(1, max(1, len(types) * rounds)))
     oracle = partial(oracles.beauty_play_generation, config)
     with mock.patch.object(games, "_BLOCK_ELEMENTS", elements):
-        blocked = outcome(BeautyGame(config).play_generation, types, rounds, seed)
-    assert blocked == outcome(oracle, types, rounds, seed)
+        blocked = outcome(BeautyGame(config).play_generation, types, guesses, rounds, seed)
+    assert blocked == outcome(oracle, types, guesses, rounds, seed)
 
 
 @given(newcomb_configs(), populations(2), seeds)
 def test_newcomb_play_many_matches_scalar_rounds(config, types, seed):
-    # One double per encounter, in order, so the scalar loop sees the same draws.
+    # One double per encounter, in order, so the scalar loop sees the same draws; the game
+    # plays its own choices, and the scalar rounds take theirs from the closed form.
     rng_many, rng_scalar = np.random.default_rng(seed), np.random.default_rng(seed)
-    many = NewcombGame(config).play_generation(np.array(types), 1, rng_many)
+    game = NewcombGame(config)
+    many = game.play_generation(np.array(types), game.choices, 1, rng_many)
     scalar = [oracles.newcomb_play_round(NEWCOMB_TYPES[t], config, rng_scalar) for t in types]
     assert many.tobytes() == np.array(scalar, dtype=float).tobytes()
     assert rng_many.bit_generator.state == rng_scalar.bit_generator.state

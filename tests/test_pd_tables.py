@@ -3,8 +3,9 @@
 ``fdtsim.games`` builds what depends on the config alone once per config and
 reuses it every generation. Here one ``PdGame`` per config plays many
 populations, and the configs follow one another, some changing only the
-signal accuracy. Every generation's policy, type EUs, score bytes and
-generator state must match ``oracles``, which rebuilds everything on each call.
+signal accuracy. Every generation's solved policy, and the type EUs, score
+bytes and generator state under a policy drawn from all eight, must match
+``oracles``, which rebuilds everything on each call.
 """
 from dataclasses import replace
 
@@ -13,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from fdtsim.games import PdGame, pd_expected_utilities, solve_fdt_pd_policy
-from test_oracles import accuracies, pd_configs, populations, rounds, seeds, solver_outcome
+from fdtsim.games import PdGame, pd_expected_utilities
+from test_oracles import accuracies, pd_configs, pd_policies, populations, rounds, seeds, solver_outcome
 
 
 @st.composite
@@ -29,23 +30,24 @@ def config_sequences(draw):
     return configs
 
 
-@given(config_sequences(), st.lists(populations(3), min_size=1, max_size=5), rounds, seeds)
+populations_and_policies = st.lists(st.tuples(populations(3), pd_policies), min_size=1, max_size=5)
+
+
+@given(config_sequences(), populations_and_policies, rounds, seeds)
 @settings(max_examples=100, deadline=None)
-def test_reused_game_matches_oracle_every_generation(configs, type_lists, rounds, seed):
+def test_reused_game_matches_oracle_every_generation(configs, generations, rounds, seed):
     rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for config in configs:
         game = PdGame(config)
-        for types in type_lists:
+        for types, policy in generations:
             types = np.array(types, dtype=np.int64)
             shares = np.bincount(types, minlength=3) / types.size
-            policy = solver_outcome(solve_fdt_pd_policy, config, shares)
-            assert policy == solver_outcome(oracles.solve_fdt_pd_policy, config, shares)
-            if isinstance(policy, type):  # no policy: the generation raises before any draw
-                continue
+            solved = solver_outcome(game.decide, shares)
+            assert solved == solver_outcome(oracles.solve_fdt_pd_policy, config, shares)
             assert pd_expected_utilities(config, shares, policy) == pytest.approx(
                 oracles.pd_expected_utilities(config, shares, policy), rel=1e-12, abs=1e-12
             )
-            scores = game.play_generation(types, rounds, rng)
-            expected = oracles.pd_play_generation(config, types, rounds, oracle_rng)
+            scores = game.play_generation(types, policy, rounds, rng)
+            expected = oracles.pd_play_generation(config, types, policy, rounds, oracle_rng)
             assert scores.tobytes() == expected.tobytes()
             assert rng.bit_generator.state == oracle_rng.bit_generator.state
