@@ -1,7 +1,7 @@
 """Odds-form Bayesian inference of an opponent's type from a noisy signal.
 
-A signal names one of k types and is correct with probability p; the
-remaining mass splits evenly over the other k - 1 types.
+A signal names one of three types and is correct with probability p; the
+remaining mass splits evenly over the other two types.
 """
 from __future__ import annotations
 
@@ -15,13 +15,11 @@ class AllZeroPosteriorError(ValueError):
     """Prior and likelihood have disjoint support; posterior undefined."""
 
 
-def signal_likelihoods(accuracy: float, k: int) -> np.ndarray:
+def signal_likelihoods(accuracy: float) -> np.ndarray:
     """L[s, t]: odds of a signal naming type s about an agent of type t, one row per signal."""
     if not 0.0 <= accuracy <= 1.0:
         raise ValueError(f"accuracy must be in [0, 1], got {accuracy}")
-    if k < 2:
-        raise ValueError(f"k must be >= 2, got {k}")
-    likelihoods = np.full((k, k), (1.0 - accuracy) / (k - 1), dtype=float)
+    likelihoods = np.full((3, 3), (1.0 - accuracy) / 2, dtype=float)
     np.fill_diagonal(likelihoods, accuracy)
     return likelihoods
 
@@ -30,7 +28,7 @@ def posteriors(prior_shares, likelihoods, signals) -> list[tuple[float, float, f
     """Posterior over three types after each of ``signals``, one row per signal.
 
     Row i is the normalized product of the prior odds (finite, nonnegative, not all 0) and the
-    row ``likelihoods[signals[i]]`` of ``signal_likelihoods(accuracy, 3)``, an array or lists.
+    row ``likelihoods[signals[i]]`` of ``signal_likelihoods(accuracy)``, an array or lists.
     The first signal the prior rules out raises ``AllZeroPosteriorError``.
     """
     prior = list(map(float, prior_shares))

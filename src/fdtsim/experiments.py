@@ -124,23 +124,25 @@ def run(config: ExperimentConfig) -> Trajectory:
 
 THIRD = 1.0 / 3.0
 
+_PD_BASELINE = ExperimentConfig(
+    game="pd",
+    population=10_000,
+    generations=750,
+    rounds=100,
+    initial_shares=(THIRD, THIRD, THIRD),
+    game_params={"cc": 7.0, "cd": 1.0, "dc": 10.0, "dd": 4.0, "signal_accuracy": 0.9},
+)
+_BEAUTY_BASELINE = ExperimentConfig(
+    game="beauty",
+    population=10_000,
+    generations=750,
+    rounds=100,
+    initial_shares=(THIRD, THIRD, THIRD),
+    game_params={},
+)
 PRESETS: dict[str, ExperimentConfig] = {
-    "pd-baseline": ExperimentConfig(
-        game="pd",
-        population=10_000,
-        generations=750,
-        rounds=100,
-        initial_shares=(THIRD, THIRD, THIRD),
-        game_params={"cc": 7.0, "cd": 1.0, "dc": 10.0, "dd": 4.0, "signal_accuracy": 0.9},
-    ),
-    "pd-invasion": ExperimentConfig(
-        game="pd",
-        population=10_000,
-        generations=1_500,
-        rounds=100,
-        initial_shares=(0.9, 0.0, 0.1),
-        game_params={"cc": 7.0, "cd": 1.0, "dc": 10.0, "dd": 4.0, "signal_accuracy": 0.9},
-    ),
+    "pd-baseline": _PD_BASELINE,
+    "pd-invasion": replace(_PD_BASELINE, generations=1_500, initial_shares=(0.9, 0.0, 0.1)),
     "newcomb-baseline": ExperimentConfig(
         game="newcomb",
         population=3_000,
@@ -149,22 +151,8 @@ PRESETS: dict[str, ExperimentConfig] = {
         initial_shares=(0.5, 0.5),
         game_params={"high": 10_000.0, "low": 1_000.0, "accuracy": 0.99},
     ),
-    "beauty-baseline": ExperimentConfig(
-        game="beauty",
-        population=10_000,
-        generations=750,
-        rounds=100,
-        initial_shares=(THIRD, THIRD, THIRD),
-        game_params={},
-    ),
-    "beauty-cdt-heavy": ExperimentConfig(
-        game="beauty",
-        population=10_000,
-        generations=750,
-        rounds=100,
-        initial_shares=(0.1, 0.8, 0.1),
-        game_params={},
-    ),
+    "beauty-baseline": _BEAUTY_BASELINE,
+    "beauty-cdt-heavy": replace(_BEAUTY_BASELINE, initial_shares=(0.1, 0.8, 0.1)),
 }
 
 # Bounds of the sweeps' draws: integer PD payoffs, and Newcomb rewards and predictor accuracy.
@@ -199,7 +187,7 @@ def _draw_newcomb(rng, i: int) -> dict[str, float]:
 # Sweep id -> (base experiment, default run count, draw(rng, i) of run i's game_params overrides).
 SWEEPS = {
     "pd-payoff-sweep": (
-        replace(PRESETS["pd-baseline"], generations=750),
+        PRESETS["pd-baseline"],
         10,
         lambda rng, i: draw_pd_payoffs(rng),
     ),

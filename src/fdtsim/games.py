@@ -37,10 +37,12 @@ class NoFixedPointError(ValueError):
     """No self-consistent policy exists for the given parameters."""
 
 
-def _check_finite(config) -> None:
+def _store_floats(config) -> None:
+    """Check that each field is a finite number, and keep it as the float64 that the games play."""
     for name, value in vars(config).items():
         if not _is_finite_number(value):
             raise ValueError(f"{name} must be a finite number, got {value!r}")
+        object.__setattr__(config, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -52,9 +54,8 @@ class PdConfig:
     signal_accuracy: float = 0.9
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        # Checked as the floats the tables play with: 2**60 + 2 and 2**60 are one float.
-        cc, cd, dc, dd = (float(v) for v in (self.cc, self.cd, self.dc, self.dd))
+        _store_floats(self)
+        cc, cd, dc, dd = self.cc, self.cd, self.dc, self.dd
         if not dc > cc > dd > cd:
             raise ValueError(
                 f"payoffs must satisfy DC > CC > DD > CD as floats, got DC={dc} CC={cc} DD={dd} CD={cd}"
@@ -77,10 +78,9 @@ class NewcombConfig:
     accuracy: float = 0.99
 
     def __post_init__(self) -> None:
-        _check_finite(self)
-        high, low = float(self.high), float(self.low)  # as the floats the scenario plays with
-        if not high > low > 0.0:
-            raise ValueError(f"need high > low > 0 as floats, got high={high} low={low}")
+        _store_floats(self)
+        if not self.high > self.low > 0.0:
+            raise ValueError(f"need high > low > 0 as floats, got high={self.high} low={self.low}")
         if not 0.0 <= self.accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {self.accuracy}")
 
@@ -93,13 +93,13 @@ class BeautyConfig:
     cap: float = 1000.0
 
     def __post_init__(self) -> None:
-        _check_finite(self)
+        _store_floats(self)
         if not 0.0 < self.fraction < 1.0:
             raise ValueError(f"fraction must be in (0, 1), got {self.fraction}")
         # A subnormal cap has 1 / cap = inf: every error would score 1 / inf = 0.
         if not (self.cap > 0.0 and _is_finite_number(1.0 / self.cap)):
             raise ValueError(f"cap must be positive, with 1 / cap finite, got {self.cap}")
-        low, high = float(self.low), float(self.high)  # as the floats the draws use
+        low, high = self.low, self.high
         if not (high > low and _is_finite_number(high - low)):
             raise ValueError(f"guess range must be nonempty, high - low finite, as floats: [{low}, {high}]")
 
@@ -125,9 +125,8 @@ class _PdTables:
 
     def __init__(self, config: PdConfig):
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
-        likelihoods = signal_likelihoods(config.signal_accuracy, 3)
-        # As floats: an integer payoff beyond int64 cannot multiply an int64 array.
-        cc, cd, dc, dd = (float(v) for v in (config.cc, config.cd, config.dc, config.dd))
+        likelihoods = signal_likelihoods(config.signal_accuracy)
+        cc, cd, dc, dd = config.cc, config.cd, config.dc, config.dd
         payoff = np.array([[dd, dc], [cd, cc]])  # [own action, opponent action], D = 0, C = 1
         # vs[action, policy]: the action's EU against an FDT opponent that follows the policy.
         vs = (likelihoods[:, PD_FDT] * payoff[:, _PD_POLICY_COOP.astype(int)]).sum(-1)

@@ -94,6 +94,8 @@ class CausalModel:
             repeated = next(var_id for var_id in ids if ids.count(var_id) > 1)
             raise ValueError(f"variable {repeated!r} appears more than once in the model")
         for key, cpt in self.cpts.items():
+            if key not in self._domains:
+                raise ValueError(f"a CPT is filed under {key!r}, which is not a variable of the model")
             if cpt.child != key:
                 raise ValueError(f"variable {key!r} holds the CPT of {cpt.child!r} in the model")
 

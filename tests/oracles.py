@@ -65,7 +65,7 @@ def pd_component_eu(config, shares, policy, signal, action):
     ``vs_fdt`` adds left to right in an explicit loop, like the library's
     sums; ``sum()`` would round differently from Python 3.12 on.
     """
-    post = posteriors(shares, signal_likelihoods(config.signal_accuracy, 3), [signal])[0]
+    post = posteriors(shares, signal_likelihoods(config.signal_accuracy), [signal])[0]
     trial = list(policy)
     trial[signal] = action
     opp_signal = signal_dist(PD_FDT, config.signal_accuracy)
@@ -463,9 +463,6 @@ def validate_model(model: CausalModel) -> list[str]:
         if vid not in model.cpts:
             diags.append(f"variable {vid!r}: missing CPT")
     for child, cpt in model.cpts.items():
-        if child not in id_set:
-            diags.append(f"CPT references unknown variable {child!r}")
-            continue
         dangling = [p for p in cpt.parents if p not in id_set]
         for p in dangling:
             diags.append(f"variable {child!r}: dangling parent reference {p!r}")

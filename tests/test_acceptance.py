@@ -414,7 +414,7 @@ def test_criterion_14_invariant_spotchecks():
     # posterior normalization + odds-rescaling invariance
     for _ in range(100):
         prior = rng.dirichlet(np.ones(3))
-        likelihoods = signal_likelihoods(rng.uniform(0.05, 0.95), 3)
+        likelihoods = signal_likelihoods(rng.uniform(0.05, 0.95))
         signal = int(rng.integers(0, 3))
         post = np.array(posteriors(prior, likelihoods, [signal])[0])
         ok &= abs(post.sum() - 1.0) < 1e-9 and (post >= 0).all()

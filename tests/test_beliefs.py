@@ -7,11 +7,11 @@ from fdtsim.beliefs import AllZeroPosteriorError, posteriors, signal_likelihoods
 
 def posterior(prior, signal, accuracy):
     """The posterior after one signal, from a three-type signal of the given accuracy."""
-    return np.array(posteriors(prior, signal_likelihoods(accuracy, 3), [signal])[0])
+    return np.array(posteriors(prior, signal_likelihoods(accuracy), [signal])[0])
 
 
 def test_likelihood_shape():
-    assert signal_likelihoods(0.8, 3)[0] == pytest.approx([0.8, 0.1, 0.1])
+    assert signal_likelihoods(0.8)[0] == pytest.approx([0.8, 0.1, 0.1])
 
 
 def test_posterior_hand_computed():
@@ -50,7 +50,7 @@ def test_disjoint_support_raises():
 )
 def test_prior_that_is_not_odds_raises(prior):
     with pytest.raises(ValueError, match="finite nonnegative odds"):
-        posteriors(prior, signal_likelihoods(0.9, 3), [0])
+        posteriors(prior, signal_likelihoods(0.9), [0])
 
 
 def test_signal_out_of_range():
@@ -60,9 +60,7 @@ def test_signal_out_of_range():
 
 def test_bad_accuracy_rejected():
     with pytest.raises(ValueError):
-        signal_likelihoods(1.2, 3)
-    with pytest.raises(ValueError):
-        signal_likelihoods(0.9, 1)
+        signal_likelihoods(1.2)
 
 
 shares = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3)

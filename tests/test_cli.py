@@ -206,17 +206,21 @@ def test_evolve_runs_with_agents_that_sit_out(capsys):
     assert "final shares" in capsys.readouterr().out
 
 
-def test_evolve_takes_pd_payoffs_beyond_int64(tmp_path, capsys):
-    # The run matches the one with the equal float payoffs row for row.
-    payoffs = {"cc": 7 * 10**19, "cd": 10**19, "dc": 10**20, "dd": 4 * 10**19}
+def assert_runs_as_float_twin(run, params, tmp_path, capsys):
+    """``run`` with integer ``params`` writes the data rows of its twin with the equal floats."""
     rows = []
-    for params in (payoffs, {k: float(v) for k, v in payoffs.items()}):
+    for game_params in (params, {k: float(v) for k, v in params.items()}):
         path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
-        path.write_text(json.dumps(dict(PD_RUN, game_params=params)))
+        path.write_text(json.dumps(dict(run, game_params=game_params)))
         assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
         rows.append(csv_rows(out.read_text()))
     assert rows[0] == rows[1]
     capsys.readouterr()
+
+
+def test_evolve_takes_pd_payoffs_beyond_int64(tmp_path, capsys):
+    payoffs = {"cc": 7 * 10**19, "cd": 10**19, "dc": 10**20, "dd": 4 * 10**19}
+    assert_runs_as_float_twin(PD_RUN, payoffs, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("high", [10_000, 10**15 + 1, 10**17, 2 * 10**17])
@@ -224,14 +228,15 @@ def test_evolve_scores_integer_newcomb_payoffs_as_floats(high, tmp_path, capsys)
     # Beyond 2**53 an int64 sum of these payoffs is exact or wraps, where float64 rounds.
     run = {"game": "newcomb", "population": 300, "generations": 20, "rounds": 100, "seed": 3,
            "initial_shares": [0.5, 0.5]}
-    rows = []
-    for params in ({"high": high, "low": 1001}, {"high": float(high), "low": 1001.0}):
-        path, out = tmp_path / "cfg.json", tmp_path / "run.csv"
-        path.write_text(json.dumps(dict(run, game_params=params)))
-        assert cli.main(["evolve", "--config", str(path), "--out", str(out)]) == 0
-        rows.append(csv_rows(out.read_text()))
-    assert rows[0] == rows[1]
-    capsys.readouterr()
+    assert_runs_as_float_twin(run, {"high": high, "low": 1001}, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("shares", [[0.1, 0.8, 0.1], [0.01, 0.19, 0.8]])
+def test_evolve_scores_integer_beauty_bounds_as_floats(shares, tmp_path, capsys):
+    # Clamped to an integer bound, both guesses made an int64 row that truncated every Random draw.
+    run = {"game": "beauty", "population": 300, "generations": 30, "rounds": 10, "seed": 1,
+           "initial_shares": shares}
+    assert_runs_as_float_twin(run, {"low": 10, "high": 100}, tmp_path, capsys)
 
 
 def test_evolve_requires_config_or_preset(capsys):

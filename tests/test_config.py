@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from fdtsim.experiments import GAMES, ExperimentConfig
+from fdtsim.experiments import GAMES, PRESETS, ExperimentConfig
 
 VALID = {
     "pd": {
@@ -51,6 +51,29 @@ def test_to_dict_keeps_keys_and_values_as_given():
     ]
     assert json.dumps(data["initial_shares"]) == "[1, 0, 0]"  # no coercion to float
     assert data["mutation_rate"] == 0 and isinstance(data["mutation_rate"], int)
+
+
+def test_presets_keep_their_order_and_settings():
+    # Each preset's CSV header, byte for byte. The golden runs replace N, generations and rounds.
+    loop = {"population": 10_000, "generations": 750, "rounds": 100, "birth_rate": 0.01,
+            "mutation_rate": 0.001, "seed": 0, "snapshot_every": 1}
+    pd_params = {"cc": 7.0, "cd": 1.0, "dc": 10.0, "dd": 4.0, "signal_accuracy": 0.9}
+    thirds = [1 / 3, 1 / 3, 1 / 3]
+    expected = {
+        "pd-baseline": dict(loop, game="pd", initial_shares=thirds, game_params=pd_params),
+        "pd-invasion": dict(
+            loop, game="pd", generations=1_500, initial_shares=[0.9, 0.0, 0.1], game_params=pd_params
+        ),
+        "newcomb-baseline": dict(
+            loop, game="newcomb", population=3_000, generations=100, initial_shares=[0.5, 0.5],
+            game_params={"high": 10_000.0, "low": 1_000.0, "accuracy": 0.99},
+        ),
+        "beauty-baseline": dict(loop, game="beauty", initial_shares=thirds, game_params={}),
+        "beauty-cdt-heavy": dict(loop, game="beauty", initial_shares=[0.1, 0.8, 0.1], game_params={}),
+    }
+    assert list(PRESETS) == list(expected)
+    for name, config in PRESETS.items():
+        assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected[name], sort_keys=True)
 
 
 def test_from_dict_takes_defaults_from_the_dataclass():

@@ -53,8 +53,22 @@ def test_game_configs_reject_non_finite_and_non_numeric_fields(config, name, val
         config(**{name: value})
 
 
+# Valid values for every field that each number type below can hold exactly (a beauty fraction
+# lies in (0, 1), so no integer can be one: it keeps its float default).
+WHOLE_PARAMS = {
+    PdConfig: {"cc": 7, "cd": 1, "dc": 10, "dd": 4, "signal_accuracy": 1},
+    NewcombConfig: {"high": 10_000, "low": 1_000, "accuracy": 0},
+    BeautyConfig: {"low": 10, "high": 100, "cap": 1_000},
+}
+
+
 def test_game_configs_accept_numpy_numbers():
-    assert PdConfig(cc=np.int64(7), signal_accuracy=np.float64(0.9)).cc == 7
+    # Every field holds the Python float that the games play, whatever number type it was given as.
+    kinds = (int, np.int64, np.float32, np.float64, float)
+    for (config, params), kind in itertools.product(WHOLE_PARAMS.items(), kinds):
+        built = config(**{name: kind(value) for name, value in params.items()})
+        assert all(type(value) is float for value in vars(built).values()), (config, kind)
+        assert {name: getattr(built, name) for name in params} == params
     assert PdConfig(signal_accuracy=np.float32(0.5)).signal_accuracy == 0.5
 
 

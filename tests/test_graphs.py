@@ -164,6 +164,14 @@ def test_cpt_filed_under_another_variable_is_rejected_naming_both():
         CausalModel(variables, cpts, ("B",), {("yes",): 1.0, ("no",): 0.0})
 
 
+def test_cpt_filed_under_a_missing_variable_is_rejected_naming_it():
+    # Kept as given, the orphan CPT was never read: FDT still scored one-box at 990000.0.
+    model = build("newcomb").model
+    cpts = {**model.cpts, "Ghost": Cpt("Ghost", ("Nope",), {("x",): (1.0,)})}
+    with pytest.raises(ValueError, match="CPT is filed under 'Ghost', which is not a variable"):
+        replace(model, cpts=cpts)
+
+
 def test_edt_equals_cdt_for_root_action():
     # The action node has no parents, so conditioning and intervening agree.
     problem = make_problem(chain_model())
