@@ -65,11 +65,12 @@ class Cpt:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parents", tuple(self.parents))
-        object.__setattr__(
-            self,
-            "table",
-            {tuple(k): tuple(v) for k, v in self.table.items()},
-        )
+        table = {}
+        for key, row in self.table.items():
+            if not all(map(math.isfinite, row := tuple(row))):
+                raise ValueError(f"variable {self.child!r}: row {tuple(key)} has a non-finite entry: {row}")
+            table[tuple(key)] = row
+        object.__setattr__(self, "table", table)
 
 
 @dataclass(frozen=True)
@@ -85,9 +86,12 @@ class CausalModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "outcome_vars", tuple(self.outcome_vars))
         object.__setattr__(self, "cpts", dict(self.cpts))
-        object.__setattr__(
-            self, "utility", {tuple(k): float(v) for k, v in self.utility.items()}
-        )
+        utility = {}
+        for key, value in self.utility.items():
+            if not math.isfinite(value := float(value)):
+                raise ValueError(f"utility of outcome {tuple(key)} is not finite: {value}")
+            utility[tuple(key)] = value
+        object.__setattr__(self, "utility", utility)
         object.__setattr__(self, "_domains", {v.id: v.domain for v in self.variables})
         if len(self._domains) != len(self.variables):
             ids = [v.id for v in self.variables]
@@ -191,6 +195,19 @@ def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[Callable[[tuple], t
     return tuple(order), tuple(_key_getter(tuple(map(order.index, parents[vid]))) for vid in order)
 
 
+@functools.lru_cache(maxsize=256)
+def _plan(shape: tuple, domains: tuple, evidence: tuple) -> tuple[tuple[str, ...], tuple]:
+    """``shape``'s topological order, and per node in it: id, arity, row-key getter, and the (index, label)
+    pairs of its domain (``domains`` is in ``shape`` order) that agree with the ``evidence`` items."""
+    order, row_keys = _structure(shape)
+    want, domain_of = dict(evidence), {vid: domain for (vid, _), domain in zip(shape, domains)}
+    return order, tuple(
+        (vid, len(domain_of[vid]), row_key,
+         tuple((j, label) for j, label in enumerate(domain_of[vid]) if want.get(vid) in (None, label)))
+        for vid, row_key in zip(order, row_keys)
+    )
+
+
 def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment) -> tuple[tuple, list]:
     """The topological order, and every full assignment that agrees with ``evidence``.
 
@@ -202,27 +219,24 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
     a missing row that an assignment reaches raise ValueError naming the variable.
     """
     try:
-        shape = tuple((vid, cpts[vid].parents) for vid in model._domains)
+        shape = tuple([(vid, cpts[vid].parents) for vid in model._domains])
     except KeyError as missing:
         raise ValueError(f"variable {missing.args[0]!r} has no CPT") from None
-    order, row_keys = _structure(shape)
+    order, plan = _plan(shape, tuple(model._domains.values()), tuple(evidence.items()))
     states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
-    for vid, row_key in zip(order, row_keys):
-        cpt, want, domain = cpts[vid], evidence.get(vid), model._domains[vid]
+    for vid, arity, row_key, labels in plan:
+        table = cpts[vid].table
+        for key, row in table.items():
+            if len(row) != arity:
+                raise ValueError(f"variable {vid!r}: row {key} has wrong arity")
         try:
-            rows = {
-                key: [(label, p) for label, p in zip(domain, row, strict=True)
-                      if not p <= 0.0 and want in (None, label)]
-                for key, row in cpt.table.items()
-            }
             states = [
-                (asg + (label,), prob * p)
+                (asg + (label,), prob * row[j])
                 for asg, prob in states
-                for label, p in rows[row_key(asg)]
+                for row in (table[row_key(asg)],)
+                for j, label in labels
+                if not row[j] <= 0.0
             ]
-        except ValueError:  # from zip: a row longer or shorter than the domain
-            key = next(key for key, row in cpt.table.items() if len(row) != len(domain))
-            raise ValueError(f"variable {vid!r}: row {key} has wrong arity") from None
         except KeyError as missing:
             raise ValueError(f"variable {vid!r}: missing row for parents {missing.args[0]}") from None
     return order, states
@@ -254,6 +268,16 @@ def _interventions(act: str, dfv: str | None, actions: tuple[str, ...]) -> tuple
     return (dfv, Cpt(dfv, (), ones)), (act, Cpt(act, (dfv,), copy))
 
 
+@functools.lru_cache(maxsize=256)
+def _readers(order: tuple[str, ...], act: str, outcome_vars: tuple[str, ...]) -> tuple[int, Callable]:
+    """The position of ``act`` in ``order``, and the getter of an assignment's outcome labels."""
+    try:
+        return order.index(act), _key_getter(tuple(map(order.index, outcome_vars)))
+    except ValueError:
+        unknown = next(ov for ov in outcome_vars if ov not in order)
+        raise ValueError(f"outcome variable {unknown!r} not in model") from None
+
+
 def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
     """Every action's expected utility under ``theory``; raises the first unscorable action's error.
 
@@ -277,11 +301,7 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
         cpts = dict(cpts)
         cpts.update(_interventions(act, problem.decision_fn_var if theory == "fdt" else None, actions))
     order, states = _enumerate(model, cpts, evidence)
-    try:
-        at, outcome_key = order.index(act), _key_getter(tuple(order.index(ov) for ov in model.outcome_vars))
-    except ValueError:
-        unknown = next(ov for ov in model.outcome_vars if ov not in order)
-        raise ValueError(f"outcome variable {unknown!r} not in model") from None
+    at, outcome_key = _readers(order, act, model.outcome_vars)
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
     for asg, p in states:
         action, outcome = asg[at], outcome_key(asg)

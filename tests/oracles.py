@@ -363,7 +363,7 @@ def _joint(model):
                 continue
             asg[vid] = label
             yield from recurse(i + 1, asg, prob * p)
-        del asg[vid]
+        asg.pop(vid, None)  # an all-zero row sets no label: its branch has no weight
 
     yield from recurse(0, {}, 1.0)
 

@@ -354,6 +354,8 @@ REPRODUCERS = {
         None,
     ),
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None),
+    # big-box + small-box overflows to an inf utility, which scored two-box at EU inf and chose it.
+    "newcomb-utility-overflow": (["scenario", "newcomb", "--big-box", "1.7e308", "--small-box", "1e308"], None),
     # Counts beyond 2**53, past which from_shares' float arithmetic is not exact.
     "population-1e20": (["evolve", "--preset", "newcomb-baseline", "--population", str(10**20)], None),
     "population-int64-max": (["evolve", "--preset", "newcomb-baseline", "--population", str(2**63 - 1)], None),

@@ -1,4 +1,6 @@
 import ast
+import math
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -336,8 +338,21 @@ def test_cycle_raises_on_every_call():
             decide(make_problem(cyclic), "edt")
 
 
+def test_cached_plan_holds_only_tuples_with_the_evidence_labels_in_domain_order():
+    shape = (("A", ()), ("C", ("B", "A")), ("B", ("A",)))
+    order, plan = graphs._plan(shape, (("x", "y", "z"), ("p", "q", "r"), ("u", "v")), (("C", "r"),))
+    assert order == ("A", "B", "C") and [level[2] for level in plan] == list(graphs._structure(shape)[1])
+    assert type(plan) is tuple and all(type(level) is tuple and type(level[3]) is tuple for level in plan)
+    assert all(type(pair) is tuple for level in plan for pair in level[3])
+    assert [(vid, arity, labels) for vid, arity, _, labels in plan] == [
+        ("A", 3, ((0, "x"), (1, "y"), (2, "z"))),
+        ("B", 2, ((0, "u"), (1, "v"))),
+        ("C", 3, ((2, "r"),)),
+    ]
+
+
 def test_structure_caches_stay_bounded():
-    caches = (graphs._structure, graphs._interventions)
+    caches = (graphs._structure, graphs._interventions, graphs._plan, graphs._readers)
     for i in range(max(cache.cache_info().maxsize for cache in caches) + 10):
         var = f"V{i}"
         model = CausalModel(
@@ -414,3 +429,65 @@ def test_posteriors_normalized(seed):
         post = infer(model, {"C": "yes"}, query)
         assert post.sum() == pytest.approx(1.0, abs=1e-12)
         assert (post >= 0).all()
+
+
+def chain_with(**tables):
+    """``chain_model`` with the CPT tables of some of its variables replaced."""
+    model = chain_model()
+    cpts = {vid: Cpt(vid, model.cpts[vid].parents, table) for vid, table in tables.items()}
+    return replace(model, cpts={**model.cpts, **cpts})
+
+
+ERROR_ORDER = {
+    # B's missing row is reached (A keeps both labels); C's short row comes later in the order.
+    "missing-row-before-later-arity": (
+        chain_with(B={("yes",): (0.9, 0.1)}, C={("yes",): (0.8,), ("no",): (0.1, 0.9)}),
+        "variable 'B': missing row for parents ('no',)",
+    ),
+    # A's all-zero row leaves no assignment alive, yet C's rows are still checked.
+    "arity-after-pruned-root": (
+        chain_with(A={(): (0.0, 0.0)}, C={("yes",): (0.8,), ("no",): (0.1, 0.9)}),
+        "variable 'C': row ('yes',) has wrong arity",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_ORDER))
+@pytest.mark.parametrize("scorer", ["edt", "infer"])
+def test_malformed_rows_raise_in_topological_order(case, scorer):
+    model, message = ERROR_ORDER[case]
+    with pytest.raises(ValueError) as info:
+        if scorer == "infer":
+            infer(model, {}, "C")
+        else:
+            decide(make_problem(model), scorer)
+    assert str(info.value) == message and type(info.value) is ValueError
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_cpt_entry_or_utility_is_rejected_naming_where(value):
+    # Scored as given, a Prediction row of (nan, 0.5) gave EDT NaN for one-box, and still chose it.
+    with pytest.raises(ValueError, match=r"^variable 'Prediction': row \('one-box',\) has a non-finite entry"):
+        with_prediction(("Decision",), {**PREDICTION_ROWS, ("one-box",): (value, 0.5)})
+    with pytest.raises(ValueError, match=r"^utility of outcome \('one-box', 'two-box'\) is not finite"):
+        replace(NEWCOMB.model, utility={**NEWCOMB.model.utility, ("one-box", "two-box"): value})
+
+
+def test_deep_deterministic_chain_keeps_only_the_live_states():
+    # Decision -> Action -> N02 -> ... -> N23, each a copy of its parent: 2 live assignments per
+    # level, where a plan over the unpruned product would hold 2**24.
+    names = ["Decision", "Action"] + [f"N{i:02d}" for i in range(2, 24)]
+    copy = {("yes",): (1.0, 0.0), ("no",): (0.0, 1.0)}
+    cpts = {names[0]: Cpt(names[0], (), {(): (0.5, 0.5)})}
+    cpts.update((child, Cpt(child, (parent,), copy)) for parent, child in zip(names, names[1:]))
+    variables = tuple(Variable(name, BOOL) for name in names)
+    model = CausalModel(variables, cpts, (names[-1],), {("yes",): 1.0, ("no",): 0.0})
+    problem = DecisionProblem(model, "Action", "Decision")
+    tracemalloc.start()
+    try:
+        reports = [decide(problem, theory) for theory in graphs.THEORIES]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [report.expected_utility for report in reports] == [{"yes": 1.0, "no": 0.0}] * 3
+    assert peak < 1_000_000

@@ -303,8 +303,9 @@ cpt_entries = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
 def decision_problems(draw):
     """A DAG of 2-5 nodes with 2-3 labels each, zero CPT entries, evidence anywhere and a partial utility.
 
-    Each CPT row is normalized. (An all-zero row makes the oracle's recursion
-    raise a bare KeyError, where the library gives that branch no weight.)
+    A CPT row is drawn with entries in [0, 1] and kept as drawn or normalized:
+    all-zero and unnormalized rows are scored as given, so branches die at
+    every level of the enumeration.
 
     Nodes are named so that creation order and sorted order differ, which
     makes the topological order's within-level sort matter.
@@ -320,9 +321,9 @@ def decision_problems(draw):
         parents[act] = sorted({*parents[act], dfv})
 
     def row(size):
-        weights = draw(st.lists(cpt_entries, min_size=size, max_size=size).filter(any))
+        weights = draw(st.lists(cpt_entries, min_size=size, max_size=size))
         total = sum(weights)
-        return tuple(w / total for w in weights)
+        return tuple(w / total for w in weights) if total and draw(st.booleans()) else tuple(weights)
 
     cpts = {
         names[i]: graphs.Cpt(
