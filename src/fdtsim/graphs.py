@@ -12,7 +12,7 @@ import math
 import numbers
 import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -145,6 +145,34 @@ class DecisionProblem:
     @property
     def actions(self) -> tuple[str, ...]:
         return self.model.domain(self.action_var)
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given, skipping ``__post_init__``."""
+    (obj := object.__new__(cls)).__dict__.update(fields)
+    return obj
+
+
+def _refilled(template: DecisionProblem, rows: Iterable[tuple[float, ...]],
+              utilities: Iterable[float]) -> DecisionProblem:
+    """A fresh copy of ``template``, without evidence, with new CPT rows and utilities in its order.
+
+    ``rows`` runs through every CPT's rows, table after table. Only the
+    utilities are checked, as ``CausalModel`` checks them: the caller
+    vouches that each row is a finite tuple of floats as long as its domain.
+    """
+    model, rows = template.model, iter(rows)
+    # zip stops at a table's last key before it takes a row, so each table takes only its own rows.
+    cpts = {vid: _unchecked(Cpt, child=vid, parents=cpt.parents, table=dict(zip(cpt.table, rows)))
+            for vid, cpt in model.cpts.items()}
+    utility = dict(zip(model.utility, utilities))
+    for key, value in utility.items():
+        if not math.isfinite(value):
+            raise ValueError(f"utility of outcome {key} is not finite: {value}")
+    model = _unchecked(CausalModel, variables=model.variables, cpts=cpts, outcome_vars=model.outcome_vars,
+                       utility=utility, _domains=model._domains)
+    return _unchecked(DecisionProblem, model=model, action_var=template.action_var,
+                      decision_fn_var=template.decision_fn_var, evidence={})
 
 
 @dataclass(frozen=True)

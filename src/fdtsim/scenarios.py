@@ -3,15 +3,17 @@
 Each row of ``_SCENARIOS`` holds everything about one problem: its default
 parameters and which of them are probabilities, any extra check, its nodes,
 its outcome variables and utilities, and its action and decision-function
-variables. ``build`` turns a row into a DecisionProblem, so adding a
+variables. ``build`` checks the parameters and refills the row's template,
+its DecisionProblem at the defaults, built and checked once. Adding a
 scenario means adding one row.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable, NamedTuple
 
-from .graphs import CausalModel, Cpt, DecisionProblem, Variable, _is_finite_number
+from .graphs import CausalModel, Cpt, DecisionProblem, Variable, _is_finite_number, _refilled
 
 
 class ScenarioError(ValueError):
@@ -136,25 +138,9 @@ _SCENARIOS = {
 SCENARIO_IDS = tuple(_SCENARIOS)
 
 
-def _layout(row: _Scenario) -> tuple:
-    """The variables, each node's parent rows and the outcome rows, in product order."""
-    nodes = row.nodes(row.defaults)
-    domains = {name: domain for name, domain, _, _ in nodes}
-
-    def rows(parents):
-        return tuple(itertools.product(*map(domains.get, parents)))
-
-    variables = tuple(itertools.starmap(Variable, domains.items()))
-    return variables, tuple(rows(parents) for _, _, parents, _ in nodes), rows(row.outcomes)
-
-
-# None of the layout depends on the parameter values, so it is made once per scenario.
-_LAYOUTS = {scenario: _layout(row) for scenario, row in _SCENARIOS.items()}
-
-
 def scenario_defaults(scenario: str) -> dict[str, float]:
     """A copy of ``scenario``'s default parameters by name: the overrides ``build`` accepts."""
-    if scenario not in _SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {scenario!r}; expected one of {SCENARIO_IDS}")
     return dict(_SCENARIOS[scenario].defaults)
 
@@ -176,11 +162,29 @@ def build(scenario: str, **overrides: float) -> DecisionProblem:
             raise ScenarioError(f"parameter {name!r} must be a probability, got {v[name]}")
     if problem := row.check(v):
         raise ScenarioError(f"{scenario} {problem}")
-    variables, node_rows, outcome_rows = _LAYOUTS[scenario]
+    # Each p is a finite probability, so every row is finite and only the utilities need a check.
+    rows = [(p, 1.0 - p) for _, _, _, firsts in row.nodes(v) for p in firsts]
+    return _refilled(_template(scenario), rows, row.utility(v))
+
+
+@functools.cache
+def _template(scenario: str) -> DecisionProblem:
+    """``scenario`` at its defaults, built once by the checking constructors.
+
+    No structure depends on the parameter values, so ``build`` refills this
+    problem's CPT rows and utilities, in product order, with new numbers.
+    """
+    row = _SCENARIOS[scenario]
+    nodes = row.nodes(row.defaults)
+    domains = {name: domain for name, domain, _, _ in nodes}
+
+    def rows(parents):
+        return itertools.product(*map(domains.get, parents))
+
     cpts = {
-        name: Cpt(name, parents, {k: (p, 1.0 - p) for k, p in zip(keys, firsts, strict=True)})
-        for (name, _, parents, firsts), keys in zip(row.nodes(v), node_rows)
+        name: Cpt(name, parents, {k: (p, 1.0 - p) for k, p in zip(rows(parents), firsts, strict=True)})
+        for name, _, parents, firsts in nodes
     }
-    utility = dict(zip(outcome_rows, row.utility(v), strict=True))
-    model = CausalModel(variables, cpts, row.outcomes, utility)
+    utility = dict(zip(rows(row.outcomes), row.utility(row.defaults), strict=True))
+    model = CausalModel(tuple(itertools.starmap(Variable, domains.items())), cpts, row.outcomes, utility)
     return DecisionProblem(model, row.action, row.decision_fn)

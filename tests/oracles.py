@@ -10,8 +10,11 @@ table, component EUs, type EUs, policy solver) are scalar loops that share
 no code with the library's tables, and the PD agent's choice is also
 posed as a causal graph for ``graphs.decide``. The Newcomb choice here is
 the closed form that the library takes from the ``newcomb-transparent``
-scenario instead. ``validate_model`` lists every way a hand-built causal
-model breaks the engine's assumptions; the library scores a model as given.
+scenario instead. ``build_by_constructors`` builds a one-shot scenario
+through the checking constructors on every call, the path that
+``scenarios.build`` takes once per scenario. ``validate_model`` lists
+every way a hand-built causal model breaks the engine's assumptions; the
+library scores a model as given.
 """
 import itertools
 from dataclasses import replace
@@ -39,6 +42,7 @@ from fdtsim.games import (
     BEAUTY_RANDOM,
     NoFixedPointError,
 )
+from fdtsim.scenarios import _SCENARIOS, scenario_defaults
 
 
 # ---------------------------------------------------------------------------
@@ -544,6 +548,28 @@ def scenario_params(scenario, uniform):
     dd = cd + uniform(0.1, 10.0)
     cc = dd + uniform(0.1, 10.0)
     return dict(rho=prob(), cd=cd, dd=dd, cc=cc, dc=cc + uniform(0.1, 10.0))
+
+
+def build_by_constructors(scenario, **overrides):
+    """``scenarios.build`` with each node, model and problem made by its checking constructor on every call.
+
+    The overrides must pass ``build``'s parameter checks, which this oracle does not repeat.
+    """
+    row, v = _SCENARIOS[scenario], scenario_defaults(scenario)
+    v.update((name, float(value)) for name, value in overrides.items())
+    nodes = row.nodes(v)
+    domains = {name: domain for name, domain, _, _ in nodes}
+
+    def rows(parents):
+        return itertools.product(*map(domains.get, parents))
+
+    cpts = {
+        name: Cpt(name, parents, {k: (p, 1.0 - p) for k, p in zip(rows(parents), firsts, strict=True)})
+        for name, _, parents, firsts in nodes
+    }
+    utility = dict(zip(rows(row.outcomes), row.utility(v), strict=True))
+    model = CausalModel(tuple(itertools.starmap(Variable, domains.items())), cpts, row.outcomes, utility)
+    return DecisionProblem(model, row.action, row.decision_fn)
 
 
 def scenario_closed_form(scenario, theory, v):

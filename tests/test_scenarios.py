@@ -3,9 +3,15 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fdtsim.graphs import decide
-from fdtsim.scenarios import SCENARIO_IDS, ScenarioError, build
-from oracles import SCENARIO_PAIRS, scenario_closed_form, scenario_params, validate_model
+from fdtsim.graphs import THEORIES, decide
+from fdtsim.scenarios import SCENARIO_IDS, ScenarioError, build, scenario_defaults
+from oracles import (
+    SCENARIO_PAIRS,
+    build_by_constructors,
+    scenario_closed_form,
+    scenario_params,
+    validate_model,
+)
 
 # (scenario, theory) -> expected choice at default parameters
 EXPECTED_CHOICES = {
@@ -152,3 +158,86 @@ def test_every_pair_matches_its_closed_form(pair, data):
 def test_closed_form_holds_at_subnormal_utilities(theory):
     # EDT's products 0.5 * 5e-324 underflow to 0 where the closed form keeps 5e-324.
     check_closed_form("newcomb-transparent", theory, dict(high=0.0, low=5e-324, accuracy=0.0))
+
+
+@pytest.mark.parametrize("scenario", [["newcomb"], {}, None, 3, ("newcomb",)],
+                         ids=["list", "dict", "none", "int", "tuple"])
+def test_non_string_scenario_rejected(scenario):
+    with pytest.raises(ScenarioError, match="unknown scenario"):
+        build(scenario)
+    with pytest.raises(ScenarioError, match="unknown scenario"):
+        scenario_defaults(scenario)
+
+
+def typed(values):
+    """Each value by type and repr, which tell 7 from 7.0."""
+    return [(type(x), repr(x)) for x in values]
+
+
+def exact(problem):
+    """``problem``'s structure, and each CPT entry and utility by type and repr."""
+    model = problem.model
+    tables = [(vid, cpt.child, cpt.parents, [(key, typed(row)) for key, row in cpt.table.items()])
+              for vid, cpt in model.cpts.items()]
+    return (problem.action_var, problem.decision_fn_var, problem.evidence, model.variables,
+            model.outcome_vars, model._domains, tables, list(model.utility), typed(model.utility.values()))
+
+
+def outcome(fn, *args):
+    """``fn(*args)``'s report, with each EU's repr, or the type and message of the error it raises."""
+    try:
+        report = fn(*args)
+    except Exception as error:
+        return type(error), str(error)
+    return report.chosen, [(action, repr(u)) for action, u in report.expected_utility.items()]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_IDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_build_matches_the_constructors(scenario, data):
+    # build refills a template checked once; the oracle runs every constructor on every call.
+    v = scenario_params(scenario, lambda low, high: data.draw(st.floats(low, high)))
+    for overrides in ({}, v):
+        got, want = build(scenario, **overrides), build_by_constructors(scenario, **overrides)
+        assert got == want
+        assert exact(got) == exact(want)
+        for theory in THEORIES:
+            assert outcome(decide, got, theory) == outcome(decide, want, theory)
+
+
+@pytest.mark.parametrize("scenario,overrides", [
+    ("newcomb", dict(big_box=1.7e308, small_box=1e308)),
+    ("newcomb-transparent", dict(high=1.7e308, low=1e308)),
+    ("smoking-edt", dict(smoke_utility=1.7e308, cancer_utility=1.7e308)),
+    ("smoking-cdt", dict(smoke_utility=-1.7e308, cancer_utility=-1.7e308)),
+])
+def test_overflowing_utility_raises_as_the_constructors_do(scenario, overrides):
+    with pytest.raises(ValueError) as want:
+        build_by_constructors(scenario, **overrides)
+    with pytest.raises(ValueError) as got:
+        build(scenario, **overrides)
+    assert (got.type, str(got.value)) == (want.type, str(want.value))
+    assert str(got.value).startswith("utility of outcome (")
+
+
+def dicts(problem):
+    """Every public dict of ``problem``: its evidence, CPTs, utility and each CPT table."""
+    model = problem.model
+    return [problem.evidence, model.cpts, model.utility] + [cpt.table for cpt in model.cpts.values()]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_IDS))
+def test_builds_share_no_dict(scenario):
+    first, second = build(scenario), build(scenario)
+    assert not {id(d) for d in dicts(first)} & {id(d) for d in dicts(second)}
+    model = first.model
+    for cpt in model.cpts.values():
+        for key in cpt.table:
+            cpt.table[key] = (0.25, 0.75)
+    for key in model.utility:
+        model.utility[key] += 1.0
+    first.evidence[first.action_var] = first.actions[0]
+    model.cpts.clear()
+    for problem in (build(scenario), second):
+        assert exact(problem) == exact(build_by_constructors(scenario))
