@@ -7,11 +7,11 @@ node and propagating to everything downstream of it (functional).
 """
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -56,7 +56,7 @@ class Cpt:
 
     ``table`` maps each full parent assignment (a tuple of value labels in
     ``parents`` order; the empty tuple for roots) to a probability vector
-    over the child's domain.
+    over the child's domain. It is a read-only view of a private copy.
     """
 
     child: str
@@ -70,12 +70,16 @@ class Cpt:
             if not all(map(math.isfinite, row := tuple(row))):
                 raise ValueError(f"variable {self.child!r}: row {tuple(key)} has a non-finite entry: {row}")
             table[tuple(key)] = row
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", MappingProxyType(table))
 
 
 @dataclass(frozen=True)
 class CausalModel:
-    """Variables, one CPT per variable, and a utility over outcome variables."""
+    """Variables, one CPT per variable, and a utility over outcome variables.
+
+    ``cpts`` and ``utility`` are read-only views of private copies, and each
+    CPT row has its variable's domain's length, so a built model stays checked.
+    """
 
     variables: tuple[Variable, ...]
     cpts: Mapping[str, Cpt]
@@ -85,14 +89,15 @@ class CausalModel:
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "outcome_vars", tuple(self.outcome_vars))
-        object.__setattr__(self, "cpts", dict(self.cpts))
+        object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
         utility = {}
         for key, value in self.utility.items():
             if not math.isfinite(value := float(value)):
                 raise ValueError(f"utility of outcome {tuple(key)} is not finite: {value}")
             utility[tuple(key)] = value
-        object.__setattr__(self, "utility", utility)
+        object.__setattr__(self, "utility", MappingProxyType(utility))
         object.__setattr__(self, "_domains", {v.id: v.domain for v in self.variables})
+        object.__setattr__(self, "_plans", {})
         if len(self._domains) != len(self.variables):
             ids = [v.id for v in self.variables]
             repeated = next(var_id for var_id in ids if ids.count(var_id) > 1)
@@ -102,6 +107,10 @@ class CausalModel:
                 raise ValueError(f"a CPT is filed under {key!r}, which is not a variable of the model")
             if cpt.child != key:
                 raise ValueError(f"variable {key!r} holds the CPT of {cpt.child!r} in the model")
+            arity = len(self._domains[key])
+            for row_key, row in cpt.table.items():
+                if len(row) != arity:
+                    raise ValueError(f"variable {key!r}: row {row_key} has wrong arity")
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         try:
@@ -116,7 +125,7 @@ class DecisionProblem:
 
     ``decision_fn_var`` names the node standing for the agent's own decision
     procedure; it must share the action variable's domain and be listed among
-    the action variable's parents.
+    the action variable's parents. ``evidence`` is a read-only copy.
     """
 
     model: CausalModel
@@ -125,7 +134,7 @@ class DecisionProblem:
     evidence: Assignment = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "evidence", dict(self.evidence))
+        object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
         if self.action_var not in self.model._domains:
             raise ValueError(f"action_var {self.action_var!r} is not a variable of the model")
         if self.action_var not in self.model.cpts:
@@ -160,19 +169,22 @@ def _refilled(template: DecisionProblem, rows: Iterable[tuple[float, ...]],
     ``rows`` runs through every CPT's rows, table after table. Only the
     utilities are checked, as ``CausalModel`` checks them: the caller
     vouches that each row is a finite tuple of floats as long as its domain.
+    The copy has the template's structure, so it shares its enumeration plans.
     """
     model, rows = template.model, iter(rows)
     # zip stops at a table's last key before it takes a row, so each table takes only its own rows.
-    cpts = {vid: _unchecked(Cpt, child=vid, parents=cpt.parents, table=dict(zip(cpt.table, rows)))
+    cpts = {vid: _unchecked(Cpt, child=vid, parents=cpt.parents,
+                            table=MappingProxyType(dict(zip(cpt.table, rows))))
             for vid, cpt in model.cpts.items()}
     utility = dict(zip(model.utility, utilities))
     for key, value in utility.items():
         if not math.isfinite(value):
             raise ValueError(f"utility of outcome {key} is not finite: {value}")
-    model = _unchecked(CausalModel, variables=model.variables, cpts=cpts, outcome_vars=model.outcome_vars,
-                       utility=utility, _domains=model._domains)
+    model = _unchecked(CausalModel, variables=model.variables, cpts=MappingProxyType(cpts),
+                       outcome_vars=model.outcome_vars, utility=MappingProxyType(utility),
+                       _domains=model._domains, _plans=model._plans)
     return _unchecked(DecisionProblem, model=model, action_var=template.action_var,
-                      decision_fn_var=template.decision_fn_var, evidence={})
+                      decision_fn_var=template.decision_fn_var, evidence=MappingProxyType({}))
 
 
 @dataclass(frozen=True)
@@ -202,61 +214,65 @@ def _key_getter(pos: tuple[int, ...]) -> Callable[[tuple], tuple]:
     return (lambda asg, i=pos[0]: (asg[i],)) if pos else (lambda asg: ())
 
 
-@functools.lru_cache(maxsize=256)
-def _structure(shape: tuple) -> tuple[tuple[str, ...], tuple[Callable[[tuple], tuple], ...]]:
-    """The topological order of ``shape``'s (id, parents) pairs, and each node's CPT row-key getter in it.
+def _new_plan(model: CausalModel, intervention: tuple[str, str | None] | None) -> tuple:
+    """``model``'s enumeration plan as it is (``intervention`` None), with CDT's (action, None) forced
+    or with FDT's (action, decision-function node) forced: the node becomes a root with weight 1.0 on
+    each label, and under FDT the action copies it.
 
-    Kahn's algorithm, each level in sorted order; raises ValueError on a
-    dangling parent or a cycle. The results are tuples, so no caller can change a cached one.
+    The plan is the topological order (Kahn's algorithm, each level sorted);
+    per node in it, its id, its CPT row-key getter, the (index, label) pairs
+    of its domain and its forced table or None; and the getter of an
+    assignment's outcome labels, None if an outcome variable is not in the
+    model. Raises ValueError on a missing CPT, a dangling parent or a cycle.
     """
-    parents = dict(shape)
-    remaining = {vid: set(deps) for vid, deps in shape}
+    forced = {}
+    if intervention is not None:
+        act, dfv = intervention
+        ones = {(): (1.0,) * len(actions := model.domain(act))}
+        forced = {act: Cpt(act, (), ones)}
+        if dfv is not None:
+            copy = {(v,): tuple(float(w == v) for w in actions) for v in actions}
+            forced = {dfv: Cpt(dfv, (), ones), act: Cpt(act, (dfv,), copy)}
+    try:
+        parents = {vid: (forced.get(vid) or model.cpts[vid]).parents for vid in model._domains}
+    except KeyError as missing:
+        raise ValueError(f"variable {missing.args[0]!r} has no CPT") from None
+    remaining = {vid: set(deps) for vid, deps in parents.items()}
     order: list[str] = []
     while remaining:
         free = sorted(vid for vid, deps in remaining.items() if not deps)
         if not free:
-            if dangling := next(((vid, p) for vid, deps in shape for p in deps if p not in parents), None):
+            if dangling := next(((vid, p) for vid in parents for p in parents[vid] if p not in parents), None):
                 raise ValueError("variable {!r}: dangling parent reference {!r}".format(*dangling))
             raise ValueError("parent graph contains a cycle")
         order += free
         remaining = {vid: deps.difference(free) for vid, deps in remaining.items() if deps}
-    return tuple(order), tuple(_key_getter(tuple(map(order.index, parents[vid]))) for vid in order)
+    at = {vid: i for i, vid in enumerate(order)}
+    levels = tuple((vid, _key_getter(tuple(map(at.get, parents[vid]))), tuple(enumerate(model._domains[vid])),
+                    forced[vid].table if vid in forced else None) for vid in order)
+    outcomes = tuple(map(at.get, model.outcome_vars))
+    return tuple(order), levels, None if None in outcomes else _key_getter(outcomes)
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(shape: tuple, domains: tuple, evidence: tuple) -> tuple[tuple[str, ...], tuple]:
-    """``shape``'s topological order, and per node in it: id, arity, row-key getter, and the (index, label)
-    pairs of its domain (``domains`` is in ``shape`` order) that agree with the ``evidence`` items."""
-    order, row_keys = _structure(shape)
-    want, domain_of = dict(evidence), {vid: domain for (vid, _), domain in zip(shape, domains)}
-    return order, tuple(
-        (vid, len(domain_of[vid]), row_key,
-         tuple((j, label) for j, label in enumerate(domain_of[vid]) if want.get(vid) in (None, label)))
-        for vid, row_key in zip(order, row_keys)
-    )
+def _enumerate(model: CausalModel, evidence: Assignment,
+               intervention: tuple[str, str | None] | None = None) -> tuple[tuple, list]:
+    """``model``'s plan under ``intervention`` (see ``_new_plan``), and each full assignment that agrees
+    with ``evidence``: a tuple of labels in the plan's order, with the product of its CPT entries.
 
-
-def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment) -> tuple[tuple, list]:
-    """The topological order, and every full assignment that agrees with ``evidence``.
-
-    Each assignment is a tuple of labels in that order, with the product of
-    its CPT entries taken root first. Assignments come in lexicographic
-    order of (node in topological order, label in domain order); a branch
-    ends at the first entry that is not positive or the first label that
-    contradicts the evidence. A missing CPT, a row of the wrong length and
-    a missing row that an assignment reaches raise ValueError naming the variable.
+    The model makes each plan on first use and keeps only those that
+    succeed, so a broken structure raises on every call. Assignments come
+    in lexicographic order of (node in topological order, label in domain
+    order); a branch ends at the first entry that is not positive or the
+    first label that contradicts the evidence. A missing row that an
+    assignment reaches raises ValueError naming the variable.
     """
-    try:
-        shape = tuple([(vid, cpts[vid].parents) for vid in model._domains])
-    except KeyError as missing:
-        raise ValueError(f"variable {missing.args[0]!r} has no CPT") from None
-    order, plan = _plan(shape, tuple(model._domains.values()), tuple(evidence.items()))
+    if (plan := model._plans.get(intervention)) is None:
+        plan = model._plans[intervention] = _new_plan(model, intervention)
     states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
-    for vid, arity, row_key, labels in plan:
-        table = cpts[vid].table
-        for key, row in table.items():
-            if len(row) != arity:
-                raise ValueError(f"variable {vid!r}: row {key} has wrong arity")
+    for vid, row_key, labels, table in plan[1]:  # the levels, in topological order
+        table = model.cpts[vid].table if table is None else table
+        if vid in evidence:
+            labels = [(j, label) for j, label in labels if label == evidence[vid]]
         try:
             states = [
                 (asg + (label,), prob * row[j])
@@ -267,7 +283,7 @@ def _enumerate(model: CausalModel, cpts: Mapping[str, Cpt], evidence: Assignment
             ]
         except KeyError as missing:
             raise ValueError(f"variable {vid!r}: missing row for parents {missing.args[0]}") from None
-    return order, states
+    return plan, states
 
 
 def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
@@ -275,7 +291,7 @@ def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     _check_evidence(model, evidence)
     if query not in model._domains:
         raise ValueError(f"query names unknown variable {query!r}")
-    order, states = _enumerate(model, model.cpts, evidence)
+    (order, _, _), states = _enumerate(model, evidence)
     at, domain = order.index(query), model.domain(query)
     weights, total = dict.fromkeys(domain, 0.0), 0.0
     for asg, p in states:
@@ -284,26 +300,6 @@ def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     if total <= 0.0:
         raise ZeroProbabilityError(f"evidence {dict(evidence)} has probability zero")
     return np.array([weights[label] for label in domain]) / total
-
-
-@functools.lru_cache(maxsize=256)
-def _interventions(act: str, dfv: str | None, actions: tuple[str, ...]) -> tuple[tuple[str, Cpt], ...]:
-    """The CPTs that CDT (``dfv`` None) or FDT puts in place of the model's, by variable."""
-    ones = {(): (1.0,) * len(actions)}
-    if dfv is None:
-        return ((act, Cpt(act, (), ones)),)
-    copy = {(v,): tuple(float(w == v) for w in actions) for v in actions}
-    return (dfv, Cpt(dfv, (), ones)), (act, Cpt(act, (dfv,), copy))
-
-
-@functools.lru_cache(maxsize=256)
-def _readers(order: tuple[str, ...], act: str, outcome_vars: tuple[str, ...]) -> tuple[int, Callable]:
-    """The position of ``act`` in ``order``, and the getter of an assignment's outcome labels."""
-    try:
-        return order.index(act), _key_getter(tuple(map(order.index, outcome_vars)))
-    except ValueError:
-        unknown = next(ov for ov in outcome_vars if ov not in order)
-        raise ValueError(f"outcome variable {unknown!r} not in model") from None
 
 
 def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
@@ -317,7 +313,7 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
     action alone, so each action's sums are the same to the last bit.
     """
     model, act, actions, utility = problem.model, problem.action_var, problem.actions, problem.model.utility
-    cpts, evidence = model.cpts, problem.evidence  # read only: copied before any change
+    evidence, intervention = problem.evidence, None
     if theory == "edt":
         if act in evidence:
             evidence = {var: label for var, label in evidence.items() if var != act}
@@ -326,10 +322,12 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
             "problem has no decision-function variable; functional evaluation undefined"
         )
     else:
-        cpts = dict(cpts)
-        cpts.update(_interventions(act, problem.decision_fn_var if theory == "fdt" else None, actions))
-    order, states = _enumerate(model, cpts, evidence)
-    at, outcome_key = _readers(order, act, model.outcome_vars)
+        intervention = (act, problem.decision_fn_var if theory == "fdt" else None)
+    (order, _, outcome_key), states = _enumerate(model, evidence, intervention)
+    if outcome_key is None:
+        unknown = next(ov for ov in model.outcome_vars if ov not in order)
+        raise ValueError(f"outcome variable {unknown!r} not in model")
+    at = order.index(act)
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
     for asg, p in states:
         action, outcome = asg[at], outcome_key(asg)
@@ -340,7 +338,8 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
             accs[action] += p * u
     for action in actions:
         if totals[action] <= 0.0:
-            raise ZeroProbabilityError(f"action {action!r} with evidence {evidence} has probability zero")
+            raise ZeroProbabilityError(
+                f"action {action!r} with evidence {dict(evidence)} has probability zero")
         if action in missing:
             raise KeyError(f"no utility entry for outcome {missing[action]}")
         accs[action] /= totals[action]

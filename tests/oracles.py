@@ -493,7 +493,7 @@ def validate_model(model: CausalModel) -> list[str]:
     if diags:
         return diags
     try:
-        order, states = graphs._enumerate(model, model.cpts, {})
+        (order, _, _), states = graphs._enumerate(model, {})
     except ValueError:
         return diags + ["cycle in parent graph"]
     # Utility must cover every outcome assignment that can actually occur.

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -10,7 +11,7 @@ from hypothesis import given, strategies as st
 
 import fdtsim
 import oracles
-from fdtsim import graphs
+from fdtsim import graphs, scenarios
 from fdtsim.graphs import (
     CausalModel,
     Cpt,
@@ -21,7 +22,7 @@ from fdtsim.graphs import (
     decide,
     infer,
 )
-from fdtsim.scenarios import build
+from fdtsim.scenarios import SCENARIO_IDS, build
 
 BOOL = ("yes", "no")
 
@@ -250,14 +251,6 @@ MALFORMED = {
         with_prediction(("Decision",), {("one-box",): PREDICTION_ROWS[("one-box",)]}),
         "variable 'Prediction': missing row for parents ('two-box',)",
     ),
-    "short-row": (
-        with_prediction(("Decision",), {key: row[:1] for key, row in PREDICTION_ROWS.items()}),
-        "variable 'Prediction': row ('one-box',) has wrong arity",
-    ),
-    "long-row": (
-        with_prediction(("Decision",), {key: row + (0.0,) for key, row in PREDICTION_ROWS.items()}),
-        "variable 'Prediction': row ('one-box',) has wrong arity",
-    ),
     "dangling-parent": (
         with_prediction(("Decison",), PREDICTION_ROWS),
         "variable 'Prediction': dangling parent reference 'Decison'",
@@ -286,6 +279,17 @@ def test_malformed_model_raises_value_error_naming_the_variable(case, scorer):
     assert str(info.value) == message and type(info.value) is ValueError
 
 
+@pytest.mark.parametrize("rows", [
+    pytest.param({key: row[:1] for key, row in PREDICTION_ROWS.items()}, id="short-row"),
+    pytest.param({key: row + (0.0,) for key, row in PREDICTION_ROWS.items()}, id="long-row"),
+])
+def test_row_of_the_wrong_length_is_rejected_at_construction(rows):
+    with pytest.raises(ValueError) as info:
+        with_prediction(("Decision",), rows)
+    assert str(info.value) == "variable 'Prediction': row ('one-box',) has wrong arity"
+    assert type(info.value) is ValueError
+
+
 def test_package_exports_exactly_what_it_imports():
     tree = ast.parse(Path(fdtsim.__file__).read_text())
     imported = {alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names}
@@ -308,7 +312,7 @@ def reversed_chain_model():
 def test_same_ids_under_other_edges_get_their_own_order():
     orders = []
     for model in (chain_model(), reversed_chain_model()):
-        order, _ = graphs._enumerate(model, model.cpts, {})
+        (order, _, _), _ = graphs._enumerate(model, {})
         orders.append(order)
         problem = make_problem(model)
         for theory in ("edt", "cdt"):
@@ -317,14 +321,6 @@ def test_same_ids_under_other_edges_get_their_own_order():
             posterior = infer(model, {"A": "yes"}, query)
             assert posterior.tobytes() == oracles.infer(model, {"A": "yes"}, query).tobytes()
     assert orders == [("A", "B", "C"), ("C", "B", "A")]
-
-
-def test_cached_structure_is_immutable():
-    order, row_keys = graphs._structure((("A", ()), ("C", ("B", "A")), ("B", ("A",))))
-    assert order == ("A", "B", "C") and isinstance(order, tuple) and isinstance(row_keys, tuple)
-    # Each getter gives the node's parent labels in its CPT's parent order: 0, 1 and 2 parents.
-    asg = ("a", "b", "c")
-    assert [key(asg) for key in row_keys] == [tuple(asg[i] for i in pos) for pos in ((), (0,), (1, 0))]
 
 
 def test_cycle_raises_on_every_call():
@@ -336,32 +332,59 @@ def test_cycle_raises_on_every_call():
             infer(cyclic, {}, "B")
         with pytest.raises(ValueError, match="cycle"):
             decide(make_problem(cyclic), "edt")
+    assert cyclic._plans == {}  # a plan that fails is not kept
 
 
-def test_cached_plan_holds_only_tuples_with_the_evidence_labels_in_domain_order():
-    shape = (("A", ()), ("C", ("B", "A")), ("B", ("A",)))
-    order, plan = graphs._plan(shape, (("x", "y", "z"), ("p", "q", "r"), ("u", "v")), (("C", "r"),))
-    assert order == ("A", "B", "C") and [level[2] for level in plan] == list(graphs._structure(shape)[1])
-    assert type(plan) is tuple and all(type(level) is tuple and type(level[3]) is tuple for level in plan)
-    assert all(type(pair) is tuple for level in plan for pair in level[3])
-    assert [(vid, arity, labels) for vid, arity, _, labels in plan] == [
-        ("A", 3, ((0, "x"), (1, "y"), (2, "z"))),
-        ("B", 2, ((0, "u"), (1, "v"))),
-        ("C", 3, ((2, "r"),)),
+def test_plan_holds_only_tuples_with_the_domain_labels_and_evidence_filters_them_per_call():
+    # Ids out of topological order, with 0, 1 and 2 parents (C's in reverse order) and 3, 2 and 3 labels.
+    domains = {"A": ("x", "y", "z"), "C": ("p", "q", "r"), "B": ("u", "v")}
+    parents = {"A": (), "C": ("B", "A"), "B": ("A",)}
+    cpts = {vid: Cpt(vid, parents[vid], {key: (1.0 / len(domains[vid]),) * len(domains[vid])
+                                         for key in itertools.product(*map(domains.get, parents[vid]))})
+            for vid in domains}
+    model = CausalModel(tuple(itertools.starmap(Variable, domains.items())), cpts, ("C", "A"),
+                        {key: 1.0 for key in itertools.product(domains["C"], domains["A"])})
+    plan, states = graphs._enumerate(model, {"C": "r"})
+    order, levels, outcome_key = plan
+    assert order == ("A", "B", "C") and type(levels) is tuple
+    assert all(type(level) is tuple and type(level[2]) is tuple for level in levels)
+    assert all(type(pair) is tuple for level in levels for pair in level[2])
+    # Each getter gives the node's parent labels in its CPT's parent order.
+    asg = ("a", "b", "c")
+    assert [row_key(asg) for _, row_key, _, _ in levels] == [(), ("a",), ("b", "a")]
+    assert outcome_key(asg) == ("c", "a")
+    assert [(vid, labels, table) for vid, _, labels, table in levels] == [
+        ("A", ((0, "x"), (1, "y"), (2, "z")), None),
+        ("B", ((0, "u"), (1, "v")), None),
+        ("C", ((0, "p"), (1, "q"), (2, "r")), None),
     ]
+    assert [asg for asg, _ in states] == [(a, b, "r") for a in domains["A"] for b in domains["B"]]
+    assert model._plans == {None: plan} and graphs._enumerate(model, {})[0] is plan
 
 
-def test_structure_caches_stay_bounded():
-    caches = (graphs._structure, graphs._interventions, graphs._plan, graphs._readers)
-    for i in range(max(cache.cache_info().maxsize for cache in caches) + 10):
-        var = f"V{i}"
-        model = CausalModel(
-            (Variable(var, BOOL),), {var: Cpt(var, (), {(): (0.5, 0.5)})}, (var,), {("yes",): 1.0, ("no",): 0.0}
-        )
-        assert decide(DecisionProblem(model, var), "cdt").chosen == "yes"
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.currsize == info.maxsize  # full, and no fuller
+def test_each_theory_scores_under_its_own_plan():
+    problem = build("newcomb")
+    for theory in graphs.THEORIES:
+        decide(problem, theory)
+    # Keyed on the intervention: none for EDT, the forced action for CDT, and for FDT the decision node too.
+    forced = {key: {vid: table for vid, _, _, table in levels if table is not None}
+              for key, (_, levels, _) in problem.model._plans.items()}
+    ones, copy = {(): (1.0, 1.0)}, {("one-box",): (1.0, 0.0), ("two-box",): (0.0, 1.0)}
+    assert forced == {
+        None: {},
+        ("Action", None): {"Action": ones},
+        ("Action", "Decision"): {"Decision": ones, "Action": copy},
+    }
+
+
+def test_builds_share_their_templates_plans():
+    template = scenarios._template("twin-pd")
+    for rho in np.linspace(0.0, 1.0, 1_000):
+        problem = build("twin-pd", rho=rho)
+        assert problem.model._plans is template.model._plans
+        for theory in graphs.THEORIES:
+            decide(problem, theory)
+    assert len(template.model._plans) <= 3
 
 
 @given(shift=st.floats(-1e4, 1e4, allow_nan=False), seed=st.integers(0, 10_000))
@@ -438,30 +461,46 @@ def chain_with(**tables):
     return replace(model, cpts={**model.cpts, **cpts})
 
 
-ERROR_ORDER = {
-    # B's missing row is reached (A keeps both labels); C's short row comes later in the order.
-    "missing-row-before-later-arity": (
-        chain_with(B={("yes",): (0.9, 0.1)}, C={("yes",): (0.8,), ("no",): (0.1, 0.9)}),
-        "variable 'B': missing row for parents ('no',)",
-    ),
-    # A's all-zero row leaves no assignment alive, yet C's rows are still checked.
-    "arity-after-pruned-root": (
-        chain_with(A={(): (0.0, 0.0)}, C={("yes",): (0.8,), ("no",): (0.1, 0.9)}),
-        "variable 'C': row ('yes',) has wrong arity",
-    ),
-}
+SHORT_C = {("yes",): (0.8,), ("no",): (0.1, 0.9)}
 
 
-@pytest.mark.parametrize("case", sorted(ERROR_ORDER))
-@pytest.mark.parametrize("scorer", ["edt", "infer"])
-def test_malformed_rows_raise_in_topological_order(case, scorer):
-    model, message = ERROR_ORDER[case]
+@pytest.mark.parametrize("tables", [
+    # Scored, B's missing row was reached first (A keeps both labels).
+    pytest.param(dict(B={("yes",): (0.9, 0.1)}, C=SHORT_C), id="missing-row-before-later-arity"),
+    # Scored, A's all-zero row left no assignment alive to reach C's rows.
+    pytest.param(dict(A={(): (0.0, 0.0)}, C=SHORT_C), id="arity-after-pruned-root"),
+])
+def test_row_of_the_wrong_length_is_rejected_before_any_read(tables):
     with pytest.raises(ValueError) as info:
-        if scorer == "infer":
-            infer(model, {}, "C")
-        else:
-            decide(make_problem(model), scorer)
-    assert str(info.value) == message and type(info.value) is ValueError
+        chain_with(**tables)
+    assert str(info.value) == "variable 'C': row ('yes',) has wrong arity" and type(info.value) is ValueError
+
+
+def mutate(problem, part):
+    """Try to change one part of ``problem`` after its checks ran."""
+    model, act = problem.model, problem.action_var
+    if part == "cpt-row":
+        model.cpts[act].table[next(iter(model.cpts[act].table))] = (math.nan, 0.5)
+    elif part == "utility":
+        model.utility[next(iter(model.utility))] = math.inf
+    elif part == "evidence":
+        problem.evidence[act] = problem.actions[0]
+    elif part == "set-cpt":
+        model.cpts[act] = Cpt(act, (), {(): (0.5, 0.5)})
+    else:
+        del model.cpts[act]
+
+
+@pytest.mark.parametrize("part", ["cpt-row", "utility", "evidence", "set-cpt", "del-cpt"])
+@pytest.mark.parametrize("source", sorted(SCENARIO_IDS) + ["chain_model"])
+def test_a_checked_problem_cannot_be_changed(source, part):
+    # Changed in place, a NaN row or an infinite utility gave NaN EUs, and decide still chose.
+    problem = make_problem(chain_model()) if source == "chain_model" else build(source)
+    before = [decide(problem, theory) for theory in ("edt", "cdt")]
+    with pytest.raises(TypeError):
+        mutate(problem, part)
+    assert [decide(problem, theory) for theory in ("edt", "cdt")] == before
+    assert all(math.isfinite(u) for report in before for u in report.expected_utility.values())
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
