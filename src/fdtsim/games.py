@@ -27,7 +27,8 @@ NEWCOMB_TYPES = ("cdt", "fdt")
 BEAUTY_TYPES = ("random", "cdt", "fdt")
 BEAUTY_RANDOM, BEAUTY_CDT, BEAUTY_FDT = 0, 1, 2
 
-# Guesses per block of beauty-contest rounds: 26 rounds at N = 10k.
+# Agent-rounds per block of rounds in the beauty contest and the PD: 26 rounds at N = 10k. A
+# quarter of it is the PD's seats per chunk of signal draws.
 _BLOCK_ELEMENTS = 2**18
 
 PdPolicy = tuple[str, str, str]  # action ("C" or "D") per received signal
@@ -117,7 +118,7 @@ _PD_PAIRS = [list(zip(np.flatnonzero(~c).tolist(), np.flatnonzero(c).tolist())) 
 # _PD_FDT_COOP[policy, 4 * opponent type t + 2 * correct + alt]: whether an FDT agent
 # cooperates; a wrong signal about type t names type (t + 1 + alt) % 3.
 _SEEN = [t if correct else (t + 1 + alt) % 3 for t in range(3) for correct in (0, 1) for alt in (0, 1)]
-_PD_FDT_COOP = _PD_POLICY_COOP[:, _SEEN].astype(np.uint8)
+_PD_FDT_COOP = _PD_POLICY_COOP[:, _SEEN]
 
 
 class _PdTables:
@@ -208,30 +209,38 @@ def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndar
 
 def pd_play_many(
     types1: np.ndarray, types2: np.ndarray, policy: PdPolicy, config: PdConfig, rng
-) -> tuple[np.ndarray, np.ndarray]:
-    """Play one noisy-signal round per aligned pair; returns each side's utilities.
+) -> np.ndarray:
+    """Play one noisy-signal round per aligned pair; returns each pair's uint8 outcome code.
 
-    Pair i is ``types1[i]`` against ``types2[i]``. Each FDT agent on the
-    first side draws whether its signal is correct (``random``) and which
-    wrong type it names (``integers``), then the second side does the same;
-    a wrong signal about type t names type (t + 1 + alt) % 3.
+    Pair i is ``types1[i]`` against ``types2[i]``, and its code is 2 * a1 + a2, where a1 and a2
+    are 1 when side 1 and side 2 cooperate; ``config._tables.pair_payoffs`` maps a code to each
+    side's payoff. Each FDT agent on the first side draws whether its signal is correct
+    (``random``) and which wrong type it names (``integers``), then the second side does the
+    same; a wrong signal about type t names type (t + 1 + alt) % 3. Each side is played in
+    chunks of ``_BLOCK_ELEMENTS // 4`` seats, whose int64 index, float64 draws and int64 keys take
+    at most 512 KB each; chunked draws leave the stream as one draw over all seats would.
     """
-    p = config.signal_accuracy
+    p, chunk = config.signal_accuracy, max(1, _BLOCK_ELEMENTS // 4)
     fdt_coop = _PD_FDT_COOP[_PD_POLICIES.index(tuple(policy))]
 
     def cooperates(own: np.ndarray, opp: np.ndarray) -> np.ndarray:
-        act = (own == PD_COOPERATOR).view(np.uint8)
-        fdt = np.flatnonzero(own == PD_FDT)
-        if fdt.size:
-            correct = rng.random(fdt.size) < p
-            alt = rng.integers(0, 2, size=fdt.size)
-            act[fdt] = fdt_coop[4 * opp[fdt] + 2 * correct + alt]
+        act, is_fdt = own == PD_COOPERATOR, own == PD_FDT
+        chunks = [slice(start, start + chunk) for start in range(0, own.size, chunk)]
+        # Every FDT seat draws ``random`` before the first one draws ``integers``.
+        correct = [rng.random(np.count_nonzero(is_fdt[at])) < p for at in chunks]
+        for at, seen in zip(chunks, correct):
+            fdt = is_fdt[at].nonzero()[0]
+            key = rng.integers(2, size=fdt.size)  # alt, then 4 * opponent type + 2 * correct + alt
+            key += 4 * opp[at].take(fdt)
+            key += seen
+            key += seen
+            act[at][fdt] = fdt_coop.take(key)
         return act
 
-    pair = 2 * cooperates(types1, types2)
+    pair = cooperates(types1, types2).view(np.uint8)
+    pair += pair
     pair += cooperates(types2, types1)
-    first, second = config._tables.pair_payoffs
-    return first[pair], second[pair]
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -279,21 +288,60 @@ class PdGame:
         return solve_fdt_pd_policy(self.config, shares)
 
     def play_generation(self, types: np.ndarray, policy: PdPolicy, rounds: int, rng) -> np.ndarray:
-        n = types.size
-        # All matchings at once: one independent permutation per round.
-        perms = np.tile(np.arange(n), (rounds, 1))
-        rng.permuted(perms, axis=1, out=perms)
-        if n % 2:
-            perms = perms[:, :-1]  # one agent sits out each round
-        left, right = perms[:, 0::2].ravel(), perms[:, 1::2].ravel()
-        del perms  # freed before the kernel allocates its per-pair arrays
-        codes = types.astype(np.int8)
-        u_left, u_right = pd_play_many(codes[left], codes[right], policy, self.config, rng)
-        # Two bincounts, left then right: one over both sides would add each
-        # agent's payoffs in another order.
-        scores = np.bincount(left, weights=u_left, minlength=n)
-        scores += np.bincount(right, weights=u_right, minlength=n)
+        """Per-agent payoffs summed over ``rounds`` rounds, each a fresh random perfect matching.
+
+        Matchings are permuted in blocks of ``max(1, _BLOCK_ELEMENTS // N)`` rounds, one
+        ``pd_play_many`` call plays every pair, and each side's payoffs are summed block by block:
+        the draws and every score are those of one (R, N) permutation and one ``bincount`` per
+        side. A seat holds 4 bytes of agent index (8 from N = 2**31) and 1 of type code, a pair 1
+        of outcome code; the rest is bounded per block and per chunk of draws.
+        """
+        n, half = types.size, types.size // 2
+        if not (rounds and half):
+            return np.zeros(n)
+        block = max(1, _BLOCK_ELEMENTS // n)
+        seats, seated = _pd_seats(types, rounds, block, rng)
+        pair = pd_play_many(seated[0], seated[1], policy, self.config, rng)
+        del seated  # freed before the scoring's per-block arrays
+        # Two sums, side 1 then side 2: one over both sides would add each agent's payoffs in
+        # another order.
+        first, second = self.config._tables.pair_payoffs
+        scores = _pd_side_scores(seats[0], first, pair, n, block * half)
+        scores += _pd_side_scores(seats[1], second, pair, n, block * half)
         return scores
+
+
+def _pd_side_scores(
+    seats: np.ndarray, payoffs: np.ndarray, pair: np.ndarray, n: int, step: int
+) -> np.ndarray:
+    """One side's payoffs summed per agent in pair order: ``bincount`` over the first ``step`` pairs
+    and ``add.at`` (one unbuffered add per pair, in order) over each later ``step``, which adds
+    every agent's payoffs as one ``bincount`` over all pairs would."""
+    scores = np.bincount(seats[:step], weights=payoffs.take(pair[:step]), minlength=n)
+    for start in range(step, pair.size, step):
+        np.add.at(scores, seats[start : start + step], payoffs.take(pair[start : start + step]))
+    return scores
+
+
+def _pd_seats(types: np.ndarray, rounds: int, block: int, rng) -> tuple[np.ndarray, np.ndarray]:
+    """Each round's matching, permuted ``block`` rounds at a time: the agent index and the type code
+    in every seat, as (2, R * (N // 2)) arrays whose rows are side 1 and side 2 in pair order."""
+    n, half = types.size, types.size // 2
+    seats = np.empty((2, rounds, half), dtype=np.int32 if n < 2**31 else np.int64)
+    seated = np.empty((2, rounds, half), dtype=np.int8)
+    codes = types.astype(np.int8)
+
+    def sides(rows: np.ndarray) -> np.ndarray:  # pair k is entries 2k and 2k + 1; odd N's last sits out
+        return rows[:, : 2 * half].reshape(len(rows), half, 2).transpose(2, 0, 1)
+
+    scratch = np.empty((min(block, rounds), n), dtype=np.intp)
+    for start in range(0, rounds, block):
+        rows = scratch[: rounds - start]
+        rows[:] = np.arange(n)
+        rng.permuted(rows, axis=1, out=rows)
+        seats[:, start : start + len(rows)] = sides(rows)
+        seated[:, start : start + len(rows)] = sides(codes.take(rows))
+    return seats.reshape(2, -1), seated.reshape(2, -1)
 
 
 class NewcombGame:

@@ -251,7 +251,8 @@ def pd_play_generation(config, types, policy, rounds, rng):
         perms = perms[:, :-1]
     left, right = perms[:, 0::2].ravel(), perms[:, 1::2].ravel()
     u_left, u_right = pd_play_many(types[left], types[right], policy, config, rng)
-    scores = np.bincount(left, weights=u_left, minlength=n)
+    # float64 even with no pair played, where a bincount of empty weights is int64.
+    scores = np.bincount(left, weights=u_left, minlength=n).astype(np.float64)
     scores += np.bincount(right, weights=u_right, minlength=n)
     return scores
 

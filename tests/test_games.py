@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -208,7 +209,7 @@ def test_play_round_matches_vectorized_means():
         pd_play_round(PD_FDT, PD_FDT, policy, BASELINE, rng1)[0] for _ in range(n)
     ])
     t = np.full(n, PD_FDT)
-    vec, _ = pd_play_many(t, t, policy, BASELINE, rng2)
+    vec = BASELINE._tables.pair_payoffs[0][pd_play_many(t, t, policy, BASELINE, rng2)]
     se = np.hypot(scalar.std() / np.sqrt(n), vec.std() / np.sqrt(n))
     assert abs(scalar.mean() - vec.mean()) < 4 * se
 
@@ -217,10 +218,9 @@ def test_play_many_matches_analytic_mean():
     policy = ("D", "D", "C")
     rng = np.random.default_rng(3)
     n = 200_000
+    first, _ = BASELINE._tables.pair_payoffs
     for own, opp in ((PD_FDT, PD_DEFECTOR), (PD_FDT, PD_FDT), (PD_COOPERATOR, PD_FDT)):
-        mine, _ = pd_play_many(
-            np.full(n, own), np.full(n, opp), policy, BASELINE, rng
-        )
+        mine = first[pd_play_many(np.full(n, own), np.full(n, opp), policy, BASELINE, rng)]
         point = np.zeros(3)
         point[opp] = 1.0
         expect = pd_expected_utilities(BASELINE, point, policy)[own]
@@ -317,6 +317,35 @@ def test_pd_game_two_agents_known_payoffs():
     types = np.array([PD_DEFECTOR, PD_COOPERATOR])
     scores = game.play_generation(types, game.decide((0.5, 0.5, 0.0)), 1, np.random.default_rng(0))
     assert scores.tolist() == [10.0, 1.0]
+
+
+@pytest.mark.parametrize("counts", [(3_333, 3_333, 3_334), (200, 300, 9_500)])
+def test_pd_generation_at_10k_holds_its_traced_peak_below_12_mib(counts):
+    # Whole-generation matchings and utility arrays peaked at 16.8 MiB at thirds and 21.4 MiB at
+    # 95% FDT; blocks of rounds and chunks of seats keep about 5 bytes a seat for the generation.
+    game = PdGame(BASELINE)
+    types = np.repeat(np.arange(3), counts)
+    policy = game.decide(np.array(counts) / types.size)
+    tracemalloc.start()
+    try:
+        scores = game.play_generation(types, policy, 100, np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scores.shape == types.shape and (scores > 0).all()
+    assert peak < 12 * 2**20
+
+
+@pytest.mark.parametrize("rounds, n", [(0, 5), (3, 1)])
+def test_every_game_scores_in_float64_when_no_pair_or_round_is_played(rounds, n):
+    # A bincount of empty weights is int64: the PD returned int64 zeros here.
+    for game in (PdGame(BASELINE), NewcombGame(NewcombConfig()), BeautyGame(BeautyConfig())):
+        types = np.zeros(n, dtype=np.int64)
+        decision = game.decide(np.eye(len(game.type_names))[0])
+        scores = game.play_generation(types, decision, rounds, np.random.default_rng(0))
+        assert scores.dtype == np.float64 and scores.shape == (n,)
+        if rounds == 0 or isinstance(game, PdGame):
+            assert not scores.any()
 
 
 def test_adapter_type_names():

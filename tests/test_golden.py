@@ -14,7 +14,9 @@ round(N·m) = 6 mutants per generation (every other run has none), and
 ``pd-sit-out`` (odd N, one round) leaves one agent on score 0 each
 generation, so a zero weight enters the death draw. ``beauty-blocks`` at
 N = 30,001 and R = 20 plays its rounds in blocks of 8, 8 and 4, where every
-other beauty case fits in one block.
+other beauty case fits in one block. ``pd-blocks`` at N = 30,001 and R = 20,
+with non-integer payoffs, plays its matchings and scores in blocks of 8, 8
+and 4 rounds at odd N, where every other PD case fits in one block.
 
 The ``oneshot`` digest covers the one-shot scenarios: every (scenario,
 theory) pair's choice and the exact bits of its EUs, at the defaults and at
@@ -54,6 +56,14 @@ RUNS = {
     "beauty-blocks": replace(
         PRESETS["beauty-baseline"], population=30_001, generations=3, rounds=20, seed=9
     ),
+    "pd-blocks": replace(
+        PRESETS["pd-baseline"],
+        population=30_001,
+        generations=3,
+        rounds=20,
+        seed=10,
+        game_params={"cc": 7.3, "cd": 1.1, "dc": 10.7, "dd": 4.2, "signal_accuracy": 0.9},
+    ),
     "newcomb-mutating": replace(
         PRESETS["newcomb-baseline"], population=300, generations=30, rounds=5, mutation_rate=0.02, seed=7
     ),
@@ -72,6 +82,7 @@ DIGESTS = {
     "newcomb-baseline": "25f930b8212a6f21eba3b2a25166e91d1ad919203e4e4851d7e382ae49c87b8a",
     "newcomb-mutating": "63eeb4f080fe97fc12dbca27b36bf0056e8009b52be0142c5f85910d64502e76",
     "pd-baseline": "1293e9a0b1b038533b3a719cb4306268334e87be83bd2f66c669db981cb07e61",
+    "pd-blocks": "1471d6c56e40302eda5fee3906accc9b3a0c9d64710c7b05a123f2073182b815",
     "pd-fractional": "82bf170cc092f12e48903c84ecd82756ce05ff699752ad118c1086d009d7e393",
     "pd-invasion-odd": "36e08969c5d5b68dd41ee0b84689405e6e3685b2c446fb2c62956220bb81226f",
     "pd-sit-out": "a57f98a8526985630c16511aca5b36e59f335659dc924600c45b23d328c0128e",

@@ -4,7 +4,7 @@ The library kernels only reorganise the work around the random draws, so
 each must return the same bytes and leave the generator in the same state
 as its reference version, for every population, round count, parameter
 set, decision (any FDT policy, Newcomb choices or beauty guesses, not only
-the solved ones) and (for the beauty contest) block size of rounds,
+the solved ones) and (for the PD and the beauty contest) block size of rounds,
 including odd populations, extinct types, a single Random agent and
 perfect or useless signals. The graph engine scores all actions
 from one enumeration, and must give each action the bits, or the error,
@@ -102,6 +102,23 @@ def test_pd_generation_matches_oracle(config, types, policy, rounds, seed):
     assert outcome(PdGame(config).play_generation, types, policy, rounds, seed) == outcome(
         oracle, types, policy, rounds, seed
     )
+
+
+@given(pd_configs(), populations(3), pd_policies, rounds, seeds, st.integers(1, 60 * 12))
+@settings(max_examples=200)
+@example(  # blocks of 2 rounds, where adding up each block apart changes the last bits
+    PdConfig(cc=7.3, cd=1.1, dc=10.7, dd=4.2, signal_accuracy=1 / 3), [2, 0, 2, 2, 0, 2, 0], ("D", "C", "C"), 12, 0, 16
+)
+@example(PdConfig(signal_accuracy=0.0), [2] * 9, ("C", "D", "C"), 11, 4, 5)
+@example(PdConfig(signal_accuracy=1.0), [1, 2, 1, 2, 2], ("D", "D", "C"), 0, 5, 1)
+def test_pd_generation_in_blocks_of_any_size_matches_oracle(config, types, policy, rounds, seed, elements):
+    # Every block size from one round to the whole generation, with a short last block; the
+    # signal draws come in chunks of a quarter as many seats, one seat at the least.
+    elements = min(elements, max(1, len(types) * rounds))
+    oracle = partial(oracles.pd_play_generation, config)
+    with mock.patch.object(games, "_BLOCK_ELEMENTS", elements):
+        blocked = outcome(PdGame(config).play_generation, types, policy, rounds, seed)
+    assert blocked == outcome(oracle, types, policy, rounds, seed)
 
 
 @given(newcomb_configs(), populations(2), newcomb_choices, rounds, seeds)
