@@ -22,9 +22,21 @@ RUN_FLAGS = dict(seed=int, generations=int, population=int, rounds=int,
                  birth_rate=float, mutation_rate=float, snapshot_every=int)
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a usage error exits 1 through ``main``, like any other
         raise ValueError(message)
+
+    def _parse_optional(self, arg_string):
+        # argparse alone reads only -5 and -.5 as numbers: -1e5 or -inf after a space would be a flag.
+        return None if _is_float(arg_string) else super()._parse_optional(arg_string)
 
 
 class _StoreOnce(argparse.Action):

@@ -31,6 +31,19 @@ def _is_finite_number(value) -> bool:
         return False
 
 
+def _checked_utility(items: Iterable[tuple[tuple[str, ...], float]]) -> Mapping[tuple[str, ...], float]:
+    """A read-only dict of the (outcome, utility) ``items``, each utility as a float; raises
+    ValueError naming the first outcome whose utility is not a finite real number."""
+    utility = {}
+    for key, value in items:
+        if type(value) is not float or not math.isfinite(value):  # floats, the common case, skip the call
+            if not _is_finite_number(value):
+                raise ValueError(f"utility of outcome {key} is not finite: {value!r}")
+            value = float(value)
+        utility[key] = value
+    return MappingProxyType(utility)
+
+
 class ZeroProbabilityError(ValueError):
     """Conditioning on evidence whose total probability is zero."""
 
@@ -45,6 +58,8 @@ class Variable:
     domain: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if isinstance(self.domain, str):  # a str would become one label per character
+            raise ValueError(f"variable {self.id!r}: domain {self.domain!r} is a str, not a sequence of labels")
         object.__setattr__(self, "domain", tuple(self.domain))
         if len(set(self.domain)) != len(self.domain):
             raise ValueError(f"variable {self.id!r} repeats a domain label: {self.domain}")
@@ -64,10 +79,12 @@ class Cpt:
     table: Mapping[tuple[str, ...], tuple[float, ...]]
 
     def __post_init__(self) -> None:
+        if isinstance(self.parents, str):  # a str would become one parent per character
+            raise ValueError(f"variable {self.child!r}: parents {self.parents!r} is a str, not a sequence of ids")
         object.__setattr__(self, "parents", tuple(self.parents))
         table = {}
         for key, row in self.table.items():
-            if not all(map(math.isfinite, row := tuple(row))):
+            if not all(map(_is_finite_number, row := tuple(row))):
                 raise ValueError(f"variable {self.child!r}: row {tuple(key)} has a non-finite entry: {row}")
             table[tuple(key)] = row
         object.__setattr__(self, "table", MappingProxyType(table))
@@ -90,12 +107,7 @@ class CausalModel:
         object.__setattr__(self, "variables", tuple(self.variables))
         object.__setattr__(self, "outcome_vars", tuple(self.outcome_vars))
         object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
-        utility = {}
-        for key, value in self.utility.items():
-            if not math.isfinite(value := float(value)):
-                raise ValueError(f"utility of outcome {tuple(key)} is not finite: {value}")
-            utility[tuple(key)] = value
-        object.__setattr__(self, "utility", MappingProxyType(utility))
+        object.__setattr__(self, "utility", _checked_utility((tuple(k), u) for k, u in self.utility.items()))
         object.__setattr__(self, "_domains", {v.id: v.domain for v in self.variables})
         object.__setattr__(self, "_plans", {})
         if len(self._domains) != len(self.variables):
@@ -176,12 +188,8 @@ def _refilled(template: DecisionProblem, rows: Iterable[tuple[float, ...]],
     cpts = {vid: _unchecked(Cpt, child=vid, parents=cpt.parents,
                             table=MappingProxyType(dict(zip(cpt.table, rows))))
             for vid, cpt in model.cpts.items()}
-    utility = dict(zip(model.utility, utilities))
-    for key, value in utility.items():
-        if not math.isfinite(value):
-            raise ValueError(f"utility of outcome {key} is not finite: {value}")
     model = _unchecked(CausalModel, variables=model.variables, cpts=MappingProxyType(cpts),
-                       outcome_vars=model.outcome_vars, utility=MappingProxyType(utility),
+                       outcome_vars=model.outcome_vars, utility=_checked_utility(zip(model.utility, utilities)),
                        _domains=model._domains, _plans=model._plans)
     return _unchecked(DecisionProblem, model=model, action_var=template.action_var,
                       decision_fn_var=template.decision_fn_var, evidence=MappingProxyType({}))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fdtsim.beliefs import AllZeroPosteriorError, posteriors, signal_likelihoods
+from fdtsim.beliefs import posteriors, signal_likelihoods
 
 
 def posterior(prior, signal, accuracy):
@@ -30,37 +30,6 @@ def test_uninformative_signal_returns_prior():
 def test_perfect_signal_is_point_mass():
     post = posterior((0.2, 0.5, 0.3), 2, 1.0)
     assert post == pytest.approx([0.0, 0.0, 1.0])
-
-
-def test_disjoint_support_raises():
-    with pytest.raises(AllZeroPosteriorError):
-        posterior((1.0, 0.0, 0.0), 1, 1.0)
-
-
-@pytest.mark.parametrize(
-    "prior",
-    [
-        (float("nan"), 0.5, 0.5),
-        (float("inf"), 1.0, 1.0),
-        (0.5, -0.1, 0.6),
-        (0.0, 0.0, 0.0),
-        (0.5, 0.5),
-        (0.25, 0.25, 0.25, 0.25),
-    ],
-)
-def test_prior_that_is_not_odds_raises(prior):
-    with pytest.raises(ValueError, match="finite nonnegative odds"):
-        posteriors(prior, signal_likelihoods(0.9), [0])
-
-
-def test_signal_out_of_range():
-    with pytest.raises(IndexError):
-        posterior((0.2, 0.5, 0.3), 3, 0.9)
-
-
-def test_bad_accuracy_rejected():
-    with pytest.raises(ValueError):
-        signal_likelihoods(1.2)
 
 
 shares = st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3)

@@ -112,6 +112,15 @@ def test_scenario_parameter_flag_forms(flag, capsys):
     assert "EU[two-box] = 501000" in expected
 
 
+# argparse alone reads only -5 and -.5 as numbers: -1e5 after a space would be a flag.
+def test_negative_exponent_after_a_space_is_a_value(capsys):
+    assert cli.main(["scenario", "newcomb", "--small-box", "-1e5"]) == 0
+    expected = capsys.readouterr().out
+    assert cli.main(["scenario", "newcomb", "--small-box=-1e5"]) == 0
+    assert capsys.readouterr().out == expected
+    assert "EU[two-box] = -90000" in expected
+
+
 def test_scenario_help_lists_every_parameter_with_its_default(capsys):
     with pytest.raises(SystemExit) as exit_info:
         cli.main(["scenario", "newcomb", "-h"])
@@ -342,8 +351,7 @@ FAILURES = {
     "evolve-out-dir-missing": (EVOLVE_NEWCOMB + ["--population", "200", "--generations", "2", "--rounds", "2",
                                                  "--out", "/does/not/exist/run.csv"], None, 2,
                                "cannot write /does/not/exist/run.csv: /does/not/exist is not a directory\n"),
-    # Scenario parameters: unknown, out of range, not finite. argparse reads a value that starts
-    # with ``-`` and is not a plain decimal as a flag, so ``-inf`` reaches the check only after ``=``.
+    # Scenario parameters: unknown, out of range, not finite.
     "scenario-unknown-parameter": (NEWCOMB + ["--boxes", "3"], None, 1, "unrecognized arguments: --boxes 3\n"),
     "scenario-accuracy-2": (NEWCOMB + ["--accuracy", "2.0"], None, 1,
                             "parameter 'accuracy' must be a probability, got 2.0\n"),
@@ -352,7 +360,7 @@ FAILURES = {
     "scenario-big-box-inf": (NEWCOMB + ["--big-box", "inf"], None, 1,
                              "parameter 'big_box' must be a finite number, got inf\n"),
     "scenario-big-box-minus-inf": (NEWCOMB + ["--big-box", "-inf"], None, 1,
-                                   "argument --big-box: expected one argument\n"),
+                                   "parameter 'big_box' must be a finite number, got -inf\n"),
     "scenario-big-box-equals-minus-inf": (NEWCOMB + ["--big-box=-inf"], None, 1,
                                           "parameter 'big_box' must be a finite number, got -inf\n"),
     # big-box + small-box overflows to an inf utility, which scored two-box at EU inf and chose it.
