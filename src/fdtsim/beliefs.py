@@ -10,9 +10,21 @@ import operator
 
 import numpy as np
 
+from .graphs import _is_finite_number
+
 
 class AllZeroPosteriorError(ValueError):
     """Prior and likelihood have disjoint support; posterior undefined."""
+
+
+def _check_shares(values, k: int, name: str, kinds=(list, tuple, np.ndarray)) -> tuple[float, ...]:
+    """Type shares as a tuple of k floats: ``values`` must be a list, tuple or 1-D array (one of
+    ``kinds``) of k finite, nonnegative numbers, not bools, that sum to 1 within 1e-9."""
+    if isinstance(values, kinds) and getattr(values, "ndim", 1) == 1 and len(values) == k:
+        if all(_is_finite_number(value) and value >= 0.0 for value in values):
+            if abs(sum(shares := tuple(map(float, values))) - 1.0) <= 1e-9:
+                return shares
+    raise ValueError(f"{name} must be {k} finite, nonnegative numbers that sum to 1, got {values!r}")
 
 
 def signal_likelihoods(accuracy: float) -> np.ndarray:

@@ -16,6 +16,8 @@ from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
 
+from .beliefs import _check_shares
+
 if TYPE_CHECKING:
     from .experiments import ExperimentConfig
 
@@ -42,19 +44,11 @@ class Population:
     @classmethod
     def from_shares(cls, type_names: Sequence[str], shares: Sequence[float], size: int):
         """Deterministic largest-remainder allocation of ``size`` agents."""
-        shares = np.asarray(shares, dtype=float)
-        if shares.shape != (len(type_names),):
-            raise ValueError(f"expected {len(type_names)} shares, got {shares.shape}")
-        # Written so that NaN fails: every comparison with NaN is False.
-        if not (np.all(shares >= 0.0) and abs(shares.sum() - 1.0) <= 1e-9):
-            raise ValueError(f"shares must be nonnegative and sum to 1, got {shares.tolist()}")
-        exact = shares * size
+        exact = np.array(_check_shares(shares, len(type_names), "shares")) * size
         counts = np.floor(exact).astype(np.int64)
-        remainder = exact - counts
-        for i in np.argsort(-remainder, kind="stable")[: size - counts.sum()]:
-            counts[i] += 1
-        types = np.repeat(np.arange(len(type_names)), counts)
-        return cls(type_names, types)
+        # The largest remainders exact - counts, first in type order among equals; distinct indices.
+        counts[np.argsort(counts - exact, kind="stable")[: size - counts.sum()]] += 1
+        return cls(type_names, np.repeat(np.arange(len(type_names)), counts))
 
     def counts(self) -> np.ndarray:
         return np.bincount(self.types, minlength=len(self.type_names))
@@ -81,8 +75,7 @@ class Trajectory:
     records: list[GenerationRecord] = field(default_factory=list)
 
     def final_shares(self) -> dict[str, float]:
-        last = self.records[-1]
-        return dict(zip(self.type_names, last.shares))
+        return dict(zip(self.type_names, self.records[-1].shares))
 
 
 def _choice(rng, p: np.ndarray, size: int, replace: bool) -> np.ndarray:
@@ -144,9 +137,7 @@ def repopulate(types: np.ndarray, scores: np.ndarray, config: ExperimentConfig, 
 
 
 def _stream(seed: int, generation: int, phase: int):
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(generation, phase))
-    )
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(generation, phase)))
 
 
 def run_experiment(config: ExperimentConfig, game: GameAdapter) -> Trajectory:

@@ -7,6 +7,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
+from .beliefs import _check_shares
 from .evolve import Trajectory, run_experiment
 from .games import BeautyConfig, BeautyGame, NewcombConfig, NewcombGame, PdConfig, PdGame
 from .graphs import _is_finite_number
@@ -77,17 +78,9 @@ class ExperimentConfig:
         params = {k: _plain(v, f"game_params[{k!r}]") for k, v in self.game_params.items()}
         object.__setattr__(self, "game_params", params)
         self._game_config()
+        # Not an array, which JSON cannot hold; kept as given, so the CSV header echoes it.
         shares, types = self.initial_shares, len(GAMES[self.game][0].type_names)
-        if not (
-            isinstance(shares, (list, tuple))
-            and len(shares) == types
-            and all(_is_finite_number(s) and s >= 0.0 for s in shares)
-            and abs(sum(shares) - 1.0) <= 1e-9
-        ):
-            raise ValueError(
-                f"initial_shares must be {types} finite, nonnegative numbers that sum to 1, "
-                f"got {shares!r}"
-            )
+        _check_shares(shares, types, "initial_shares", kinds=(list, tuple))
         object.__setattr__(self, "initial_shares", tuple(_plain(s, "initial_shares") for s in shares))
 
     def _game_config(self):
@@ -232,14 +225,10 @@ def trajectory_csv(trajectory: Trajectory, config: ExperimentConfig) -> str:
         f"# seed: {config.seed}",
         f"# fdtsim-version: {__version__}",
     ]
-    names = trajectory.type_names
-    header = ["generation"]
-    for name in names:
-        header += [f"{name}_count", f"{name}_share", f"{name}_mean_score"]
-    lines.append(",".join(header))
-    last = config.generations
+    columns = ("count", "share", "mean_score")
+    lines.append(",".join(["generation"] + [f"{name}_{c}" for name in trajectory.type_names for c in columns]))
     for record in trajectory.records:
-        if record.generation % config.snapshot_every and record.generation != last:
+        if record.generation % config.snapshot_every and record.generation != config.generations:
             continue
         cells = [str(record.generation)]
         for count, share, mean in zip(record.counts, record.shares, record.mean_scores):

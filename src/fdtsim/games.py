@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import posteriors, signal_likelihoods
+from .beliefs import _check_shares, posteriors, signal_likelihoods
 from .graphs import _is_finite_number, decide
 from .scenarios import build
 
@@ -164,14 +164,22 @@ class _PdTables:
         return eus
 
 
+def _policy_index(policy) -> int:
+    """The row of ``policy`` in ``_PD_POLICIES``; ValueError unless it is one of the eight."""
+    try:
+        return _PD_POLICIES.index(tuple(policy))
+    except (ValueError, TypeError):  # TypeError: not iterable
+        raise ValueError(f"policy must be one of {_PD_POLICIES}, got {policy!r}") from None
+
+
 def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
     """Best self-consistent signal -> action policy for the FDT type.
 
     Of the policies where every component is a best response given the whole policy, the one with
     the highest FDT round EU; ties break toward defection, signal by signal. A signal no agent sends
-    enters no EU: its component is D. Shares other than three finite odds, not all 0, raise ValueError.
+    enters no EU: its component is D. Shares that ``_check_shares`` refuses raise ValueError.
     """
-    tables, (share_d, share_c, share_fdt) = config._tables, map(float, shares)  # a wrong length: ValueError
+    tables, (share_d, share_c, share_fdt) = config._tables, (checked := _check_shares(shares, 3, "shares"))
     fixed, signals = [True] * len(_PD_POLICIES), []
     for signal, (odds_d, odds_c, odds_fdt) in enumerate(tables.likelihoods):
         if share_d * odds_d > 0.0 or share_c * odds_c > 0.0 or share_fdt * odds_fdt > 0.0:
@@ -180,7 +188,7 @@ def solve_fdt_pd_policy(config: PdConfig, shares) -> PdPolicy:
             for _, with_c in _PD_PAIRS[signal]:
                 fixed[with_c] = False
     # Out go the policies whose action on a sent signal is strictly worse than the other.
-    for signal, signal_eus in zip(signals, tables.component_eus(shares, signals)):
+    for signal, signal_eus in zip(signals, tables.component_eus(checked, signals)):
         for (eu_d, eu_c), (with_d, with_c) in zip(signal_eus, _PD_PAIRS[signal]):
             if eu_d < eu_c:
                 fixed[with_d] = False
@@ -203,8 +211,8 @@ def pd_expected_utilities(config: PdConfig, shares, policy: PdPolicy) -> np.ndar
     Defectors and Cooperators ignore their signals; FDT agents follow the
     policy on an independent noisy signal of the opponent's true type.
     """
-    type_payoffs = config._tables.type_payoffs[_PD_POLICIES.index(tuple(policy))]
-    return (type_payoffs * np.asarray(shares, dtype=float)).sum(-1)
+    type_payoffs = config._tables.type_payoffs[_policy_index(policy)]
+    return (type_payoffs * _check_shares(shares, 3, "shares")).sum(-1)
 
 
 def pd_play_many(
@@ -221,7 +229,7 @@ def pd_play_many(
     at most 512 KB each; chunked draws leave the stream as one draw over all seats would.
     """
     p, chunk = config.signal_accuracy, max(1, _BLOCK_ELEMENTS // 4)
-    fdt_coop = _PD_FDT_COOP[_PD_POLICIES.index(tuple(policy))]
+    fdt_coop = _PD_FDT_COOP[_policy_index(policy)]
 
     def cooperates(own: np.ndarray, opp: np.ndarray) -> np.ndarray:
         act, is_fdt = own == PD_COOPERATOR, own == PD_FDT
@@ -255,7 +263,7 @@ def beauty_guesses(shares, config: BeautyConfig) -> tuple[float, float]:
     that is consistent with every FDT agent guessing the same. With Random
     and FDT both extinct the CDT guess falls back to 0.
     """
-    r_rand, r_cdt, r_fdt = np.asarray(shares, dtype=float)
+    r_rand, r_cdt, r_fdt = _check_shares(shares, 3, "shares")
     f = config.fraction
     mean_random = (config.low + config.high) / 2.0
     observed = r_rand + r_fdt
@@ -395,8 +403,7 @@ class BeautyGame:
         inverse distance to ``fraction`` times the realized average guess,
         capped, so errors of 1/cap or less score exactly the cap.
         """
-        config = self.config
-        n = types.size
+        config, n = self.config, types.size
         if n == 0:
             raise ValueError("population is empty")
         cdt_guess, fdt_guess = guesses

@@ -151,9 +151,7 @@ def build(scenario: str, **overrides: float) -> DecisionProblem:
     row = _SCENARIOS[scenario]
     for name, value in overrides.items():
         if name not in v:
-            raise ScenarioError(
-                f"scenario {scenario!r} has no parameter {name!r}; valid names: {sorted(v)}"
-            )
+            raise ScenarioError(f"scenario {scenario!r} has no parameter {name!r}; valid names: {sorted(v)}")
         if not _is_finite_number(value):
             raise ScenarioError(f"parameter {name!r} must be a finite number, got {value!r}")
         v[name] = float(value)

@@ -17,13 +17,23 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 import fdtsim
 import oracles
 from fdtsim.beliefs import AllZeroPosteriorError, signal_likelihoods
 from fdtsim.evolve import NonPositiveScoreError, Population, repopulate
 from fdtsim.experiments import ExperimentConfig
-from fdtsim.games import BeautyConfig, NewcombConfig, NoFixedPointError, PdConfig, solve_fdt_pd_policy
+from fdtsim.games import (
+    BeautyConfig,
+    NewcombConfig,
+    NoFixedPointError,
+    PdConfig,
+    beauty_guesses,
+    pd_expected_utilities,
+    pd_play_many,
+    solve_fdt_pd_policy,
+)
 from fdtsim.graphs import (
     CausalModel,
     Cpt,
@@ -51,6 +61,16 @@ ONE_TWO_UTILITY = "utility of outcome ('one-box', 'two-box') is not finite: "
 KNOWN_SCENARIOS = ("expected one of ('smoking-edt', 'smoking-cdt', 'newcomb', 'newcomb-transparent', 'parfit',"
                    " 'twin-pd')")
 SHARES = "initial_shares must be 3 finite, nonnegative numbers that sum to 1, got "
+# Every reader of a share vector refuses these with the one message, apart from the name it gives.
+BAD_SHARES = {"nan": ([math.nan, 0.5, 0.5], "[nan, 0.5, 0.5]"), "inf": ([0.5, 0.5, math.inf], "[0.5, 0.5, inf]"),
+              "zeros": ([0.0, 0.0, 0.0], "[0.0, 0.0, 0.0]"), "negative": ([-0.5, 1.0, 0.5], "[-0.5, 1.0, 0.5]"),
+              "sum-1.5": ([0.5, 0.5, 0.5], "[0.5, 0.5, 0.5]"), "two": ([0.5, 0.5], "[0.5, 0.5]"),
+              "four": ([0.25] * 4, "[0.25, 0.25, 0.25, 0.25]")}
+SHARE_READERS = {"solver": partial(solve_fdt_pd_policy, PdConfig()),
+                 "beauty": lambda shares: beauty_guesses(shares, BeautyConfig()),
+                 "pd-eus": lambda shares: pd_expected_utilities(PdConfig(), shares, ("D", "D", "C"))}
+PD_POLICIES = ("[('D', 'D', 'D'), ('D', 'D', 'C'), ('D', 'C', 'D'), ('D', 'C', 'C'), ('C', 'D', 'D'),"
+               " ('C', 'D', 'C'), ('C', 'C', 'D'), ('C', 'C', 'C')]")
 
 
 def with_prediction(parents, table):
@@ -253,16 +273,15 @@ FAULTS = {
         partial(config, **{name: value}), ValueError,
         f"{name} must be a finite number, got {text}" if text else Prefix(f"{name} must be a finite number, got "))
        for config, name in GAME_FIELDS for label, (value, text) in NOT_FINITE.items()},
-    # Shares that are not three finite odds, not all 0, are bad input, not a solver outcome.
-    **{f"solver-shares-{label}": (partial(solve_fdt_pd_policy, PdConfig(), shares), ValueError, message)
-       for label, shares, message in (
-           ("nan", [math.nan, 0.5, 0.5], "prior must be 3 finite nonnegative odds, not all 0, got [nan, 0.5, 0.5]"),
-           ("inf", [0.5, 0.5, math.inf], "prior must be 3 finite nonnegative odds, not all 0, got [0.5, 0.5, inf]"),
-           ("zeros", [0.0, 0.0, 0.0], "prior must be 3 finite nonnegative odds, not all 0, got [0.0, 0.0, 0.0]"),
-           ("negative", [-0.5, 1.0, 0.5], "prior must be 3 finite nonnegative odds, not all 0, got [-0.5, 1.0, 0.5]"),
-           ("two", [0.5, 0.5], "not enough values to unpack (expected 3, got 2)"),
-           ("four", [0.25] * 4, Prefix("too many values to unpack (expected 3")),
-       )},
+    # Shares are bad input, not a solver outcome. The beauty guesses took NaN shares to (nan, nan).
+    **{f"{reader}-shares-{label}": (partial(read, shares), ValueError,
+                                    f"shares must be 3 finite, nonnegative numbers that sum to 1, got {text}")
+       for reader, read in SHARE_READERS.items() for label, (shares, text) in BAD_SHARES.items()},
+    "pd-eus-unknown-policy": (partial(pd_expected_utilities, PdConfig(), (1 / 3,) * 3, ("D", "X", "C")), ValueError,
+                              f"policy must be one of {PD_POLICIES}, got ('D', 'X', 'C')"),
+    "play-many-unknown-policy": (
+        partial(pd_play_many, np.array([2]), np.array([0]), ["C", "C"], PdConfig(), np.random.default_rng(0)),
+        ValueError, f"policy must be one of {PD_POLICIES}, got ['C', 'C']"),
     "solver-no-fixed-point": (
         partial(solve_fdt_pd_policy, TIED_PD, TIED_SHARES), NoFixedPointError,
         f"no self-consistent policy for config={TIED_PD} shares={TIED_SHARES}"),
@@ -281,10 +300,10 @@ FAULTS = {
     "accuracy-above-1": (partial(signal_likelihoods, 1.2), ValueError, "accuracy must be in [0, 1], got 1.2"),
     # --- evolve ---
     **{f"from-shares-{label}": (partial(Population.from_shares, ("a", "b", "c"), shares, 10), ValueError,
-                                f"shares must be nonnegative and sum to 1, got {text}")
+                                f"shares must be 3 finite, nonnegative numbers that sum to 1, got {text}")
        for label, shares, text in (
-           ("nan", (math.nan, 0.5, 0.5), "[nan, 0.5, 0.5]"), ("inf", (math.inf, 0.0, 0.0), "[inf, 0.0, 0.0]"),
-           ("negative", (1.5, -0.5, 0.0), "[1.5, -0.5, 0.0]"), ("sum-1.5", (0.5, 0.5, 0.5), "[0.5, 0.5, 0.5]"),
+           ("nan", (math.nan, 0.5, 0.5), "(nan, 0.5, 0.5)"), ("inf", (math.inf, 0.0, 0.0), "(inf, 0.0, 0.0)"),
+           ("negative", (1.5, -0.5, 0.0), "(1.5, -0.5, 0.0)"), ("sum-1.5", (0.5, 0.5, 0.5), "(0.5, 0.5, 0.5)"),
        )},
     "loop-negative-birth-rate": (partial(loop_config, birth_rate=-0.1), ValueError,
                                  "birth_rate must be a number in [0, 1], got -0.1"),
@@ -380,3 +399,54 @@ def test_every_error_type_is_the_type_of_a_row():
                if issubclass(cls, BaseException) and cls.__module__ == module.__name__}
     assert defined
     assert not (defined | {ValueError, KeyError, IndexError}) - {error for _, error, _ in FAULTS.values()}
+
+
+# Every reader of a type-share vector, with the name its message gives.
+EVERY_SHARE_READER = (("initial_shares", lambda shares: ExperimentConfig.from_dict(pd_dict(initial_shares=shares))),
+                      ("shares", lambda shares: Population.from_shares(("a", "b", "c"), shares, 10)),
+                      *(("shares", read) for read in SHARE_READERS.values()))
+# Entries that the share rule takes, and NaN, infinities, negatives, bools and strs, which it refuses.
+SHARE_ENTRIES = st.floats(0.0, 1.0) | st.sampled_from([0, 1, 0.5, math.nan, math.inf, -math.inf, -0.25, True, False,
+                                                       "0.5"])
+
+
+@st.composite
+def share_vectors(draw):
+    """(kind, a list or tuple): shares that sum to 1 ("normalized"), shares whose sum is off by more
+    than 1e-9 ("off"), or 0 to 5 entries drawn freely ("free")."""
+    kind = draw(st.sampled_from(["normalized", "off", "free"]))
+    if kind == "free":
+        values = draw(st.lists(SHARE_ENTRIES, max_size=5))
+    else:
+        weights = draw(st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3).filter(any))
+        values = [weight / sum(weights) for weight in weights]
+        if kind == "off":
+            values[draw(st.integers(0, 2))] += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2e-9, 0.5))
+    return kind, draw(st.sampled_from([list, tuple]))(values)
+
+
+@given(share_vectors())
+@example(("free", [0.0, 0.0, 0.0]))
+@example(("free", (True, False, False)))
+@example(("free", ["0.5", "0.25", "0.25"]))
+@example(("free", [math.nan, 0.5, 0.5]))
+@example(("free", (0.5, 0.5)))
+@example(("free", [1, 0, 0]))
+def test_every_share_reader_takes_the_same_vectors(case):
+    # The config, the start allocation, the FDT solver, the beauty guesses and the analytic EUs accept
+    # the same share vectors, and refuse the rest with one message apart from the name.
+    kind, shares = case
+    outcomes = set()
+    for name, read in EVERY_SHARE_READER:
+        try:
+            read(shares)
+        except ValueError as exc:
+            assert exc.args[0].startswith(f"{name} must be 3 finite, nonnegative numbers that sum to 1, got ")
+            outcomes.add(exc.args[0].removeprefix(name))
+        else:
+            outcomes.add(None)
+    assert len(outcomes) == 1, outcomes
+    if kind == "normalized":
+        assert outcomes == {None}
+    elif kind == "off":
+        assert outcomes != {None}

@@ -1,4 +1,5 @@
-"""CI's workflow loads as YAML, and every step's shell script parses under ``bash -n``."""
+"""CI's workflow loads as YAML, every step's shell script parses under ``bash -n``, and its lowest
+Python is the package's minimum."""
 import re
 import subprocess
 from pathlib import Path
@@ -6,7 +7,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def run_steps():
@@ -21,3 +23,10 @@ def test_step_script_parses_as_bash(step):
     script = re.sub(r"\$\{\{.*?\}\}", "value", run_steps()[step])
     done = subprocess.run(["bash", "-n"], input=script, capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+
+
+def test_lowest_ci_python_is_the_requires_python_minimum():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    minimum = re.search(r'^requires-python = ">=(\d+\.\d+)"$', (ROOT / "pyproject.toml").read_text(), re.M)
+    versions = yaml.safe_load(WORKFLOW.read_text())["jobs"]["tier1"]["strategy"]["matrix"]["python-version"]
+    assert minimum and min(versions, key=lambda v: tuple(map(int, v.split(".")))) == minimum[1]
