@@ -5,16 +5,11 @@ remaining mass splits evenly over the other two types.
 """
 from __future__ import annotations
 
-import math
 import operator
 
 import numpy as np
 
 from .graphs import _is_finite_number
-
-
-class AllZeroPosteriorError(ValueError):
-    """Prior and likelihood have disjoint support; posterior undefined."""
 
 
 def _check_shares(values, k: int, name: str, kinds=(list, tuple, np.ndarray)) -> tuple[float, ...]:
@@ -36,23 +31,13 @@ def signal_likelihoods(accuracy: float) -> np.ndarray:
     return likelihoods
 
 
-def posteriors(prior_shares, likelihoods, signals) -> list[tuple[float, float, float]]:
-    """Posterior over three types after each of ``signals``, one row per signal.
-
-    Row i is the normalized product of the prior odds (finite, nonnegative, not all 0) and the
-    row ``likelihoods[signals[i]]`` of ``signal_likelihoods(accuracy)``, an array or lists.
-    The first signal the prior rules out raises ``AllZeroPosteriorError``.
-    """
-    prior = list(map(float, prior_shares))
-    if len(prior) != 3 or not (all(map(math.isfinite, prior)) and min(prior) >= 0.0 and any(prior)):
-        raise ValueError(f"prior must be 3 finite nonnegative odds, not all 0, got {prior}")
+def _posteriors(prior_shares, likelihoods, signals) -> list[tuple[float, float, float]]:
+    """Posterior over three types after each of ``signals``, one row per signal: the product of
+    the prior shares and the row ``likelihoods[signal]`` of ``signal_likelihoods``, normalized.
+    Some product must be positive for each signal: one that some agent sends."""
     rows = []
     for signal in signals:
-        if not 0 <= signal < 3:
-            raise IndexError(f"signal {signal} out of range for 3 types")
-        weight_0, weight_1, weight_2 = map(operator.mul, prior, likelihoods[signal])
+        weight_0, weight_1, weight_2 = map(operator.mul, prior_shares, likelihoods[signal])
         total = (weight_0 + weight_1) + weight_2  # numpy's order; sum() rounds otherwise from 3.12
-        if total <= 0.0:
-            raise AllZeroPosteriorError(f"prior {prior} and signal {signal} have disjoint support")
         rows.append((weight_0 / total, weight_1 / total, weight_2 / total))
     return rows

@@ -6,9 +6,11 @@ mechanics in ``fdtsim.games``, and the one-model-per-action scoring of
 same order and add each agent's utilities in the same order as the library
 kernels, so the tests compare the two for equal bytes and an equal final
 generator state, not just equal distributions. The PD analytics here (payoff
-table, component EUs, type EUs, policy solver) are scalar loops that share
-no code with the library's tables, and the PD agent's choice is also
-posed as a causal graph for ``graphs.decide``. The Newcomb choice here is
+table, posterior, component EUs, type EUs, policy solver) are scalar loops
+that share no code with the library's tables, and the PD agent's choice is
+also posed as a causal graph for ``graphs.decide``. ``exact_pd_policies``
+runs the same loops on exact rationals, to hold the solver's rounding band
+to exact arithmetic. The Newcomb choice here is
 the closed form that the library takes from the ``newcomb-transparent``
 scenario instead. ``build_by_constructors`` builds a one-shot scenario
 through the checking constructors on every call, the path that
@@ -17,12 +19,13 @@ every way a hand-built causal model breaks the engine's assumptions; the
 library scores a model as given.
 """
 import itertools
-from dataclasses import replace
+from dataclasses import fields, replace
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 
 from fdtsim import graphs
-from fdtsim.beliefs import posteriors, signal_likelihoods
 from fdtsim.graphs import (
     CausalModel,
     Cpt,
@@ -40,7 +43,6 @@ from fdtsim.games import (
     BEAUTY_CDT,
     BEAUTY_FDT,
     BEAUTY_RANDOM,
-    NoFixedPointError,
 )
 from fdtsim.scenarios import _SCENARIOS, scenario_defaults
 
@@ -57,23 +59,24 @@ def payoff(config, own, opp):
 
 
 def signal_dist(true_type, p):
-    """Distribution of the signal an observer receives about ``true_type``."""
-    dist = np.full(3, (1.0 - p) / 2.0)
-    dist[true_type] = p
-    return dist
+    """Distribution of the signal an observer receives about ``true_type``, as a list."""
+    return [p if signal == true_type else (1 - p) / 2 for signal in range(3)]
 
 
 def pd_component_eu(config, shares, policy, signal, action):
     """Expected utility of answering ``signal`` with ``action``, one payoff at a time.
 
-    ``vs_fdt`` adds left to right in an explicit loop, like the library's
-    sums; ``sum()`` would round differently from Python 3.12 on.
+    The posterior weighs each share by the chance that its type sends ``signal``. Every sum adds
+    left to right, like the library's sums (``sum()`` would round differently from Python 3.12
+    on), so the bits match. On rationals it rounds nothing.
     """
-    post = posteriors(shares, signal_likelihoods(config.signal_accuracy), [signal])[0]
+    weights = [shares[t] * signal_dist(t, config.signal_accuracy)[signal] for t in range(3)]
+    total = (weights[0] + weights[1]) + weights[2]
+    post = [weight / total for weight in weights]
     trial = list(policy)
     trial[signal] = action
     opp_signal = signal_dist(PD_FDT, config.signal_accuracy)
-    vs_fdt = 0.0
+    vs_fdt = 0
     for j in range(3):
         vs_fdt += opp_signal[j] * payoff(config, action, trial[j])
     return (
@@ -127,38 +130,25 @@ def pd_signal_problem(config, shares, policy, signal):
 
 
 def pd_expected_utilities(config, shares, policy):
-    """Per-type expected round utility, one (own type, opponent type) pair at a time."""
-    shares = np.asarray(shares, dtype=float)
-    p = config.signal_accuracy
-    coop = np.array([a == "C" for a in policy], dtype=float)
-    # Probability an FDT agent cooperates given the opponent's true type.
-    fdt_coop = np.array([signal_dist(t, p) @ coop for t in range(3)])
+    """Per-type expected round utility, enumerating both players' signal draws, as a list. On
+    rationals it rounds nothing."""
+    def coop(own, opp):  # the probability that an agent of type ``own`` cooperates against ``opp``
+        if own != PD_FDT:
+            return int(own == PD_COOPERATOR)
+        return sum(chance for chance, action in zip(signal_dist(opp, config.signal_accuracy), policy) if action == "C")
 
-    def vs_mixture(own_coop, opp_coop):
-        return (
-            own_coop * opp_coop * config.cc
-            + own_coop * (1.0 - opp_coop) * config.cd
-            + (1.0 - own_coop) * opp_coop * config.dc
-            + (1.0 - own_coop) * (1.0 - opp_coop) * config.dd
-        )
-
-    opp_coop_by_type = {
-        PD_DEFECTOR: 0.0,
-        PD_COOPERATOR: 1.0,
-        PD_FDT: None,  # depends on the focal agent's own type
-    }
-    eus = np.zeros(3)
+    eus = []
     for own in range(3):
-        own_coop_by_opp = (
-            fdt_coop if own == PD_FDT else np.full(3, 1.0 if own == PD_COOPERATOR else 0.0)
-        )
-        total = 0.0
+        total = 0
         for opp in range(3):
-            opp_coop = opp_coop_by_type[opp]
-            if opp_coop is None:
-                opp_coop = fdt_coop[own]
-            total += shares[opp] * vs_mixture(own_coop_by_opp[opp], opp_coop)
-        eus[own] = total
+            own_c, opp_c = coop(own, opp), coop(opp, own)
+            total += shares[opp] * (
+                own_c * opp_c * config.cc
+                + own_c * (1 - opp_c) * config.cd
+                + (1 - own_c) * opp_c * config.dc
+                + (1 - own_c) * (1 - opp_c) * config.dd
+            )
+        eus.append(total)
     return eus
 
 
@@ -209,8 +199,13 @@ def pd_play_many(types1, types2, policy, config, rng):
     return matrix[a1.astype(int), a2.astype(int)], matrix[a2.astype(int), a1.astype(int)]
 
 
-def _is_fixed_point(config, shares, policy):
-    """Every component a best response; one for a signal no agent can send is D instead."""
+# The policy solver's rounding band, in units of the largest payoff: a constant of its own here,
+# so that a change to the library's leaves the two solvers apart.
+BAND = 2.0**-46
+
+
+def _is_fixed_point(config, shares, policy, near):
+    """Every component within ``near`` of a best response; one for a signal no agent sends is D."""
     for s in range(3):
         if not any(shares[t] * signal_dist(t, config.signal_accuracy)[s] > 0.0 for t in range(3)):
             if policy[s] == "C":
@@ -219,27 +214,45 @@ def _is_fixed_point(config, shares, policy):
         eu_c = pd_component_eu(config, shares, policy, s, "C")
         eu_d = pd_component_eu(config, shares, policy, s, "D")
         held = eu_c if policy[s] == "C" else eu_d
-        if held < max(eu_c, eu_d):
+        if held < max(eu_c, eu_d) - near:
             return False
     return True
 
 
 def solve_fdt_pd_policy(config, shares):
-    """The policy solver, one policy and one component at a time."""
-    shares = np.asarray(shares, dtype=float)
-    fixed = [
-        pol
-        for pol in itertools.product("DC", repeat=3)
-        if _is_fixed_point(config, shares, pol)
-    ]
-    if not fixed:
-        raise NoFixedPointError(f"no self-consistent policy for shares={shares.tolist()}")
+    """The policy solver, one policy and one component at a time: of the policies kept by
+    ``_is_fixed_point`` within the band, the first in product("DC") order whose FDT EU is within
+    the band of the highest."""
+    near = BAND * config.dc
+    kept = [pol for pol in itertools.product("DC", repeat=3) if _is_fixed_point(config, shares, pol, near)]
+    fdt_eus = [pd_expected_utilities(config, shares, pol)[PD_FDT] for pol in kept]
+    return next(pol for pol, fdt_eu in zip(kept, fdt_eus) if fdt_eu >= max(fdt_eus) - near)
 
-    def rank(pol):
-        fdt_eu = pd_expected_utilities(config, shares, pol)[PD_FDT]
-        return (-fdt_eu, pol[0] == "C", pol[1] == "C", pol[2] == "C")
 
-    return tuple(min(fixed, key=rank))
+def exact_pd_policies(config, shares):
+    """The signal PD in exact arithmetic, on the config's fields and the shares taken as the exact
+    rationals that their floats are.
+
+    Returns each signal's chance of being sent, and for each of the eight policies in
+    product("DC") order its FDT round EU and, per signal, how far its action there falls short of
+    the better action (None for a signal no agent sends). An exact fixed point falls short
+    nowhere, and plays D on every signal no agent sends.
+    """
+    values = SimpleNamespace(**{field.name: Fraction(getattr(config, field.name)) for field in fields(config)})
+    exact_shares = [Fraction(share) for share in shares]
+    chances = [sum(share * signal_dist(t, values.signal_accuracy)[s] for t, share in enumerate(exact_shares))
+               for s in range(3)]
+    policies = {}
+    for policy in itertools.product("DC", repeat=3):
+        shortfalls = []
+        for s in range(3):
+            if chances[s]:
+                eu = {action: pd_component_eu(values, exact_shares, policy, s, action) for action in "DC"}
+                shortfalls.append(max(eu.values()) - eu[policy[s]])
+            else:
+                shortfalls.append(None)
+        policies[policy] = pd_expected_utilities(values, exact_shares, policy)[PD_FDT], shortfalls
+    return chances, policies
 
 
 def pd_play_generation(config, types, policy, rounds, rng):

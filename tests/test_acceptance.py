@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fdtsim import experiments
-from fdtsim.beliefs import posteriors, signal_likelihoods
+from fdtsim.beliefs import _posteriors, signal_likelihoods
 from fdtsim.evolve import run_experiment
 from fdtsim.experiments import PRESETS, ExperimentConfig
 from fdtsim.games import (
@@ -33,8 +33,8 @@ from fdtsim.graphs import decide
 from fdtsim.scenarios import build
 
 import mean_field
+import oracles
 from oracles import library_component_eu, payoff
-from test_games import oracle_type_eus
 
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
 
@@ -365,7 +365,7 @@ def test_criterion_11_dominance_sweep():
         if eus[PD_FDT] < all_defect[PD_FDT] - 1e-9:
             violations.append(case)
         if eus[PD_FDT] < eus[PD_DEFECTOR] - 1e-9:
-            ok &= np.allclose(oracle_type_eus(config, shares, policy), eus, rtol=0, atol=1e-9)
+            ok &= np.allclose(oracles.pd_expected_utilities(config, shares, policy), eus, rtol=0, atol=1e-9)
             free_rides.append(case)
     for v in violations:
         print("  FDT below all-defect:", v)
@@ -416,9 +416,9 @@ def test_criterion_14_invariant_spotchecks():
         prior = rng.dirichlet(np.ones(3))
         likelihoods = signal_likelihoods(rng.uniform(0.05, 0.95))
         signal = int(rng.integers(0, 3))
-        post = np.array(posteriors(prior, likelihoods, [signal])[0])
+        post = np.array(_posteriors(prior, likelihoods, [signal])[0])
         ok &= abs(post.sum() - 1.0) < 1e-9 and (post >= 0).all()
-        scaled = posteriors(prior * rng.uniform(0.1, 10), likelihoods, [signal])[0]
+        scaled = _posteriors(prior * rng.uniform(0.1, 10), likelihoods, [signal])[0]
         ok &= np.allclose(post, scaled, atol=1e-9)
 
     # argmax utility-shift invariance + FDT = CDT on single-dependent graphs

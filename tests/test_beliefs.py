@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fdtsim.beliefs import posteriors, signal_likelihoods
+from fdtsim.beliefs import _posteriors, signal_likelihoods
 
 
 def posterior(prior, signal, accuracy):
     """The posterior after one signal, from a three-type signal of the given accuracy."""
-    return np.array(posteriors(prior, signal_likelihoods(accuracy), [signal])[0])
+    return np.array(_posteriors(prior, signal_likelihoods(accuracy), [signal])[0])
 
 
 def test_likelihood_shape():

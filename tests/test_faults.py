@@ -21,13 +21,12 @@ from hypothesis import example, given, strategies as st
 
 import fdtsim
 import oracles
-from fdtsim.beliefs import AllZeroPosteriorError, signal_likelihoods
+from fdtsim.beliefs import signal_likelihoods
 from fdtsim.evolve import NonPositiveScoreError, Population, repopulate
 from fdtsim.experiments import ExperimentConfig
 from fdtsim.games import (
     BeautyConfig,
     NewcombConfig,
-    NoFixedPointError,
     PdConfig,
     beauty_guesses,
     pd_expected_utilities,
@@ -44,7 +43,6 @@ from fdtsim.graphs import (
     infer,
 )
 from fdtsim.scenarios import ScenarioError, build, scenario_defaults
-from test_beliefs import posterior
 from test_config import VALID, pd_dict
 from test_evolve import config as loop_config
 from test_graphs import BOOL, chain_model, make_problem
@@ -140,11 +138,6 @@ NOT_FINITE = {"nan": (math.nan, "nan"), "inf": (math.inf, "inf"), "minus-inf": (
 GAME_FIELDS = ([(PdConfig, name) for name in ("cc", "cd", "dc", "dd", "signal_accuracy")]
                + [(NewcombConfig, name) for name in ("high", "low", "accuracy")]
                + [(BeautyConfig, name) for name in ("fraction", "low", "high", "cap")])
-# Built so that each signal's D and C tie whatever the other components are (DC - CC = DD - CD, and
-# CC - DD balancing the two at these shares): the rounded EUs then rule out all eight policies.
-TIED_PD = PdConfig(cc=6.409922623169722, cd=1.0, dc=8.074464990611613, dd=2.664542367441892,
-                   signal_accuracy=1 / 3)
-TIED_SHARES = [0.025218498021362824, 0.051731867046915195, 0.923049634931722]
 
 # case -> (call, exception type, message)
 FAULTS = {
@@ -282,21 +275,7 @@ FAULTS = {
     "play-many-unknown-policy": (
         partial(pd_play_many, np.array([2]), np.array([0]), ["C", "C"], PdConfig(), np.random.default_rng(0)),
         ValueError, f"policy must be one of {PD_POLICIES}, got ['C', 'C']"),
-    "solver-no-fixed-point": (
-        partial(solve_fdt_pd_policy, TIED_PD, TIED_SHARES), NoFixedPointError,
-        f"no self-consistent policy for config={TIED_PD} shares={TIED_SHARES}"),
     # --- beliefs ---
-    "disjoint-support": (partial(posterior, (1.0, 0.0, 0.0), 1, 1.0), AllZeroPosteriorError,
-                         "prior [1.0, 0.0, 0.0] and signal 1 have disjoint support"),
-    **{f"prior-{label}": (partial(posterior, prior, 0, 0.9), ValueError,
-                          f"prior must be 3 finite nonnegative odds, not all 0, got {text}")
-       for label, prior, text in (
-           ("nan", (math.nan, 0.5, 0.5), "[nan, 0.5, 0.5]"), ("inf", (math.inf, 1.0, 1.0), "[inf, 1.0, 1.0]"),
-           ("negative", (0.5, -0.1, 0.6), "[0.5, -0.1, 0.6]"), ("zeros", (0.0, 0.0, 0.0), "[0.0, 0.0, 0.0]"),
-           ("two", (0.5, 0.5), "[0.5, 0.5]"), ("four", (0.25,) * 4, "[0.25, 0.25, 0.25, 0.25]"),
-       )},
-    "signal-out-of-range": (partial(posterior, (0.2, 0.5, 0.3), 3, 0.9), IndexError,
-                            "signal 3 out of range for 3 types"),
     "accuracy-above-1": (partial(signal_likelihoods, 1.2), ValueError, "accuracy must be in [0, 1], got 1.2"),
     # --- evolve ---
     **{f"from-shares-{label}": (partial(Population.from_shares, ("a", "b", "c"), shares, 10), ValueError,
@@ -398,7 +377,7 @@ def test_every_error_type_is_the_type_of_a_row():
     defined = {cls for module in modules for _, cls in inspect.getmembers(module, inspect.isclass)
                if issubclass(cls, BaseException) and cls.__module__ == module.__name__}
     assert defined
-    assert not (defined | {ValueError, KeyError, IndexError}) - {error for _, error, _ in FAULTS.values()}
+    assert not (defined | {ValueError, KeyError}) - {error for _, error, _ in FAULTS.values()}
 
 
 # Every reader of a type-share vector, with the name its message gives.

@@ -25,7 +25,7 @@ from fdtsim.games import (
 )
 
 import oracles
-from oracles import library_component_eu, newcomb_choice, payoff, pd_play_round, signal_dist
+from oracles import library_component_eu, newcomb_choice, payoff, pd_play_round
 
 BASELINE = PdConfig()
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -59,42 +59,23 @@ def test_uninformative_signal_policy_is_all_defect():
     assert solve_fdt_pd_policy(config, THIRDS) == ("D", "D", "D")
 
 
+# On the line DC - CC = DD - CD, with CC - DD balancing the two at these shares, each signal's D and
+# C tie in exact arithmetic whatever the other components are. DDD and CCC are both exact fixed
+# points, and CCC has the higher FDT EU. Strict comparisons of the rounded EUs rule out all eight.
+TIED_PD = PdConfig(cc=6.409922623169722, cd=1.0, dc=8.074464990611613, dd=2.664542367441892,
+                   signal_accuracy=1 / 3)
+TIED_SHARES = [0.025218498021362824, 0.051731867046915195, 0.923049634931722]
+
+
+def test_solver_answers_where_every_component_ties():
+    assert solve_fdt_pd_policy(TIED_PD, TIED_SHARES) == ("C", "C", "C")
+
+
 def test_baseline_type_eus():
     eus = pd_expected_utilities(BASELINE, THIRDS, ("D", "D", "C"))
     assert eus[PD_DEFECTOR] == pytest.approx(6.1, abs=1e-12)
     assert eus[PD_COOPERATOR] == pytest.approx(3.1, abs=1e-12)
     assert eus[PD_FDT] == pytest.approx(6.8, abs=1e-12)
-
-
-def oracle_type_eus(config, shares, policy):
-    """Independent enumeration over both players' signal draws."""
-    coop = {"C": 1.0, "D": 0.0}
-
-    def action_prob_coop(own, opp):
-        if own == PD_DEFECTOR:
-            return 0.0
-        if own == PD_COOPERATOR:
-            return 1.0
-        return sum(
-            signal_dist(opp, config.signal_accuracy)[s] * coop[policy[s]]
-            for s in range(3)
-        )
-
-    eus = []
-    for own in range(3):
-        total = 0.0
-        for opp in range(3):
-            pc_own = action_prob_coop(own, opp)
-            pc_opp = action_prob_coop(opp, own)
-            eu = (
-                pc_own * pc_opp * config.cc
-                + pc_own * (1 - pc_opp) * config.cd
-                + (1 - pc_own) * pc_opp * config.dc
-                + (1 - pc_own) * (1 - pc_opp) * config.dd
-            )
-            total += shares[opp] * eu
-        eus.append(total)
-    return np.array(eus)
 
 
 @given(
@@ -115,7 +96,7 @@ def test_type_eus_match_enumeration_oracle(seed, accuracy, extinct):
         shares /= shares.sum()
     policy = tuple(rng.choice(["C", "D"], size=3))
     got = pd_expected_utilities(config, shares, policy)
-    assert got == pytest.approx(oracle_type_eus(config, shares, policy), abs=1e-9)
+    assert got == pytest.approx(oracles.pd_expected_utilities(config, shares, policy), abs=1e-9)
 
 
 def test_component_eu_affine_structure():

@@ -12,7 +12,9 @@ of scoring it alone on its own intervened model. The births and deaths of
 ``evolve.repopulate`` must be numpy's own ``Generator.choice``, draw for draw.
 """
 import itertools
+import math
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 from unittest import mock
 
@@ -22,20 +24,18 @@ from hypothesis.extra.numpy import arrays
 
 import oracles
 from fdtsim import evolve, games, graphs
-from fdtsim.beliefs import AllZeroPosteriorError
 from fdtsim.games import (
     NEWCOMB_TYPES,
     BeautyConfig,
     BeautyGame,
     NewcombConfig,
     NewcombGame,
-    NoFixedPointError,
+    PD_FDT,
     PdConfig,
     PdGame,
     solve_fdt_pd_policy,
 )
-
-SOLVER_ERRORS = (NoFixedPointError, AllZeroPosteriorError)
+from test_games import TIED_PD, TIED_SHARES
 
 seeds = st.integers(0, 2**32 - 1)
 rounds = st.integers(0, 12)
@@ -169,14 +169,6 @@ def test_newcomb_play_many_matches_scalar_rounds(config, types, seed):
     assert rng_many.bit_generator.state == rng_scalar.bit_generator.state
 
 
-def solver_outcome(solve, *args):
-    """The result, or the type of the solver error raised."""
-    try:
-        return solve(*args)
-    except SOLVER_ERRORS as exc:
-        return type(exc)
-
-
 share_weights = st.lists(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0), min_size=3, max_size=3)
 
 
@@ -191,15 +183,87 @@ def normalized(weights):
 @example(PdConfig(signal_accuracy=0.0), [0.0, 0.0, 1.0])
 @example(PdConfig(signal_accuracy=0.0), [1.0, 0.0, 0.0])
 # Uninformative signals: policies with equally many C's have equal FDT EUs in
-# exact arithmetic, so these pin the choice that rounding makes.
+# exact arithmetic, so the band ties them and the first in product("DC") order wins.
 @example(PdConfig(signal_accuracy=1 / 3), [1.0, 1.0, 1.0])
 @example(PdConfig(signal_accuracy=1 / 3), [0.2, 0.3, 0.5])
 @example(PdConfig(signal_accuracy=1 / 3), [0.0, 0.4, 0.6])
 def test_solver_matches_oracle(config, weights):
     shares = normalized(weights)
-    assert solver_outcome(solve_fdt_pd_policy, config, shares) == solver_outcome(
-        oracles.solve_fdt_pd_policy, config, shares
-    )
+    assert solve_fdt_pd_policy(config, shares) == oracles.solve_fdt_pd_policy(config, shares)
+
+
+exact_accuracies = st.sampled_from([0.0, 0.25, 0.5, 1.0, 1 / 3])
+
+
+@st.composite
+def dyadic_shares(draw):
+    """Sixteenths that sum to 1, any of them 0, and a 0 sometimes raised to 5e-324."""
+    low, high = sorted(draw(st.lists(st.integers(0, 16), min_size=2, max_size=2)))
+    shares = [low / 16, (high - low) / 16, (16 - high) / 16]
+    tiny = draw(st.sampled_from([None, 0, 1, 2]))
+    if tiny is not None and shares[tiny] == 0.0:
+        shares[tiny] = 5e-324
+    return shares
+
+
+@st.composite
+def near_ties(draw):
+    """A config on the line DC - CC = DD - CD = g (exactly: delta = (CC + DD) - (DC + CD) = 0)
+    whose signal s is within about 2**-k * DC of a tie, k from 30 to 60.
+
+    On that line EU_s(C) - EU_s(D) = A_s = post_F(s) * q_s * (CC - CD) - g, whatever the other
+    components are: post_F(s) is the posterior that the opponent is FDT, and q_s the chance that a
+    signal about an FDT agent names s. CC solves A_s = offset up to its rounding, and DC = CC + g,
+    then CC = DC - g, keeps delta exactly 0.
+    """
+    accuracy = draw(exact_accuracies | st.floats(0.0, 1.0))
+    shares = draw(dyadic_shares() | share_weights.map(normalized))
+    signal, cd, g = draw(st.integers(0, 2)), draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    weights = [shares[t] * oracles.signal_dist(t, accuracy)[signal] for t in range(3)]
+    assume(sum(weights) > 0.0)
+    reach = weights[PD_FDT] / sum(weights) * oracles.signal_dist(PD_FDT, accuracy)[signal]  # post_F(s) * q_s
+    assume(reach > 0.0)
+    offset = draw(st.sampled_from([-1, 1])) * 2.0 ** -draw(st.integers(30, 60)) * (cd + g / reach + g)
+    dc = cd + (g + offset) / reach + g
+    cc = dc - g
+    assume(math.isfinite(dc) and dc > cc > cd + g)
+    return PdConfig(cc=cc, cd=cd, dc=dc, dd=cd + g, signal_accuracy=accuracy), shares
+
+
+@st.composite
+def exact_cases(draw):
+    """A PD config and shares: any config, or one on the line delta = 0, at an accuracy of
+    ``exact_accuracies``, with dyadic shares (with 0 and 5e-324) or any normalized ones."""
+    shares = draw(dyadic_shares() | share_weights.map(normalized))
+    if draw(st.booleans()):
+        return replace(draw(pd_configs()), signal_accuracy=draw(exact_accuracies)), shares
+    cd, g, above = draw(st.integers(1, 8)), draw(st.integers(1, 8)), draw(st.integers(1, 64))
+    dc = cd + g + above / 8 + g
+    return PdConfig(cc=dc - g, cd=cd, dc=dc, dd=cd + g, signal_accuracy=draw(exact_accuracies)), shares
+
+
+@given(exact_cases() | near_ties())
+@settings(max_examples=400, deadline=None)
+@example((TIED_PD, TIED_SHARES))
+@example((PdConfig(cc=7.3, signal_accuracy=0.0), [1.0, 0.0, 5e-324]))  # signal 0: D, 0.15 short of C
+def test_solver_is_within_its_band_of_the_best_exact_fixed_point(case):
+    # The inputs are taken as the exact rationals that their floats are. An exact fixed point
+    # always exists (the component EUs form a weighted potential game); the solver's rounding band
+    # of 2**-46 * DC, twice its EUs' rounding error or more, keeps every one. So the solver always
+    # answers, each component of its policy is within twice the band of a best response, and its
+    # FDT EU within twice the band of the best exact fixed point's. A signal sent with a chance
+    # below 2**-1022, the least normal float, is not held to a best response: its weights may have
+    # rounded to 0 (shares (1, 0, 5e-324) at accuracy 0 send signal 0 with chance 2**-1075).
+    config, shares = case
+    policy = solve_fdt_pd_policy(config, shares)
+    assert policy in games._PD_POLICIES
+    band = 2 * Fraction(oracles.BAND) * Fraction(config.dc)
+    chances, policies = oracles.exact_pd_policies(config, shares)
+    fdt_eu, shortfalls = policies[policy]
+    assert all(shortfall <= band for chance, shortfall in zip(chances, shortfalls) if chance >= 2.0**-1022)
+    fixed_eus = [eu for pol, (eu, falls) in policies.items()
+                 if all(action == "D" if fall is None else fall == 0 for action, fall in zip(pol, falls))]
+    assert fdt_eu >= max(fixed_eus) - band
 
 
 @given(pd_configs(), share_weights)
@@ -208,17 +272,13 @@ def test_solver_matches_oracle(config, weights):
 @example(PdConfig(signal_accuracy=1.0), [0.5, 0.5, 0.0])  # signal 2 is unreachable
 @example(PdConfig(signal_accuracy=0.0), [0.0, 0.0, 1.0])  # signal 2 is unreachable
 def test_component_eu_matches_oracle(config, weights):
+    # Both add in the same order, over the signals that some agent sends: a posterior needs one.
     shares = normalized(weights)
-    for policy in itertools.product("DC", repeat=3):
-        for signal in range(3):
-            for action in "DC":
-                args = (config, shares, policy, signal, action)
-                got = solver_outcome(oracles.library_component_eu, *args)
-                want = solver_outcome(oracles.pd_component_eu, *args)
-                if isinstance(want, type):
-                    assert got is want
-                else:  # both add in the same order
-                    assert got.hex() == want.hex()
+    dists = [oracles.signal_dist(t, config.signal_accuracy) for t in range(3)]
+    sent = [s for s in range(3) if any(shares[t] * dists[t][s] > 0.0 for t in range(3))]
+    for policy, signal, action in itertools.product(itertools.product("DC", repeat=3), sent, "DC"):
+        args = (config, shares, policy, signal, action)
+        assert oracles.library_component_eu(*args).hex() == oracles.pd_component_eu(*args).hex()
 
 
 # Tolerance of the PD graph oracle, in units of the largest payoff M. Both
@@ -252,24 +312,21 @@ def test_pd_graph_oracle_matches_component_eus_and_solver(config, weights):
     for policy in itertools.product("DC", repeat=3):
         for signal in range(3):
             problem = oracles.pd_signal_problem(config, shares, policy, signal)
-            if not sent[signal]:  # no posterior on either side
+            if not sent[signal]:  # no posterior
                 assert scoring_outcome(graphs.decide, problem, "fdt") is graphs.ZeroProbabilityError
-                assert solver_outcome(oracles.library_component_eu, config, shares, policy, signal, "C") \
-                    is AllZeroPosteriorError
             if not normal[signal]:
                 continue
             eus = graphs.decide(problem, "fdt").expected_utility
             for action in "DC":
                 want = oracles.library_component_eu(config, shares, policy, signal, action)
                 assert abs(eus[action] - want) <= tol
-    # Each component of the solved policy is a best response to within 2 tol,
-    # so where the graph chooses otherwise, its two EUs tie.
-    policy = solver_outcome(solve_fdt_pd_policy, config, shares)
-    if policy is not NoFixedPointError:
-        for signal in np.flatnonzero(normal):
-            report = graphs.decide(oracles.pd_signal_problem(config, shares, policy, signal), "fdt")
-            eus = report.expected_utility
-            assert report.chosen == policy[signal] or abs(eus["C"] - eus["D"]) <= 2 * tol
+    # Each component of the solved policy is within the solver's band of a best response, so
+    # where the graph chooses otherwise, its two EUs are within the band and 2 tol.
+    policy = solve_fdt_pd_policy(config, shares)
+    for signal in np.flatnonzero(normal):
+        report = graphs.decide(oracles.pd_signal_problem(config, shares, policy, signal), "fdt")
+        eus = report.expected_utility
+        assert report.chosen == policy[signal] or abs(eus["C"] - eus["D"]) <= oracles.BAND * config.dc + 2 * tol
 
 
 @given(pd_configs(), st.sampled_from([0.0, 1.0]), share_weights, st.integers(0, 2))
@@ -279,12 +336,10 @@ def test_perfect_or_useless_signals_about_extinct_types_have_a_policy(config, ac
     # naming the only surviving type is never sent. Either has no posterior.
     config = replace(config, signal_accuracy=accuracy)
     shares = normalized(weights[:extinct] + [0.0] + weights[extinct + 1 :])
-    policy = solver_outcome(solve_fdt_pd_policy, config, shares)
-    assert policy is not AllZeroPosteriorError
-    if policy is not NoFixedPointError:
-        names = (lambda t, s: t == s) if accuracy == 1.0 else (lambda t, s: t != s)
-        sent = [any(shares[t] > 0.0 and names(t, s) for t in range(3)) for s in range(3)]
-        assert all(action == "D" for action, reach in zip(policy, sent) if not reach)
+    policy = solve_fdt_pd_policy(config, shares)
+    names = (lambda t, s: t == s) if accuracy == 1.0 else (lambda t, s: t != s)
+    sent = [any(shares[t] > 0.0 and names(t, s) for t in range(3)) for s in range(3)]
+    assert all(action == "D" for action, reach in zip(policy, sent) if not reach)
 
 
 # ---------------------------------------------------------------------------
