@@ -7,6 +7,7 @@ node and propagating to everything downstream of it (functional).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import operator
@@ -61,6 +62,8 @@ class Variable:
         if isinstance(self.domain, str):  # a str would become one label per character
             raise ValueError(f"variable {self.id!r}: domain {self.domain!r} is a str, not a sequence of labels")
         object.__setattr__(self, "domain", tuple(self.domain))
+        if not self.domain:
+            raise ValueError(f"variable {self.id!r} has an empty domain")
         if len(set(self.domain)) != len(self.domain):
             raise ValueError(f"variable {self.id!r} repeats a domain label: {self.domain}")
 
@@ -71,7 +74,8 @@ class Cpt:
 
     ``table`` maps each full parent assignment (a tuple of value labels in
     ``parents`` order; the empty tuple for roots) to a probability vector
-    over the child's domain. It is a read-only view of a private copy.
+    over the child's domain. It is a read-only view of a private copy. Entries
+    are finite and not negative; a row need not sum to 1.
     """
 
     child: str
@@ -86,6 +90,8 @@ class Cpt:
         for key, row in self.table.items():
             if not all(map(_is_finite_number, row := tuple(row))):
                 raise ValueError(f"variable {self.child!r}: row {tuple(key)} has a non-finite entry: {row}")
+            if any(entry < 0 for entry in row):
+                raise ValueError(f"variable {self.child!r}: row {tuple(key)} has a negative entry: {row}")
             table[tuple(key)] = row
         object.__setattr__(self, "table", MappingProxyType(table))
 
@@ -94,8 +100,11 @@ class Cpt:
 class CausalModel:
     """Variables, one CPT per variable, and a utility over outcome variables.
 
-    ``cpts`` and ``utility`` are read-only views of private copies, and each
-    CPT row has its variable's domain's length, so a built model stays checked.
+    A built model can always be enumerated: every variable has a CPT whose
+    parents are variables, whose keys are exactly the product of their
+    domains and whose rows have the variable's domain's length; the parent
+    graph is acyclic, and the outcome variables are variables. ``cpts`` and
+    ``utility`` are read-only views of private copies, so it stays checked.
     """
 
     variables: tuple[Variable, ...]
@@ -108,21 +117,33 @@ class CausalModel:
         object.__setattr__(self, "outcome_vars", tuple(self.outcome_vars))
         object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
         object.__setattr__(self, "utility", _checked_utility((tuple(k), u) for k, u in self.utility.items()))
-        object.__setattr__(self, "_domains", {v.id: v.domain for v in self.variables})
+        object.__setattr__(self, "_domains", domains := {v.id: v.domain for v in self.variables})
         object.__setattr__(self, "_plans", {})
-        if len(self._domains) != len(self.variables):
+        if len(domains) != len(self.variables):
             ids = [v.id for v in self.variables]
             repeated = next(var_id for var_id in ids if ids.count(var_id) > 1)
             raise ValueError(f"variable {repeated!r} appears more than once in the model")
+        if (bare := next((vid for vid in domains if vid not in self.cpts), None)) is not None:
+            raise ValueError(f"variable {bare!r} has no CPT")
         for key, cpt in self.cpts.items():
-            if key not in self._domains:
+            if key not in domains:
                 raise ValueError(f"a CPT is filed under {key!r}, which is not a variable of the model")
             if cpt.child != key:
                 raise ValueError(f"variable {key!r} holds the CPT of {cpt.child!r} in the model")
-            arity = len(self._domains[key])
+            if (dangling := next((p for p in cpt.parents if p not in domains), None)) is not None:
+                raise ValueError(f"variable {key!r}: dangling parent reference {dangling!r}")
+            keys = dict.fromkeys(itertools.product(*map(domains.get, cpt.parents)))
+            if cpt.table.keys() != keys.keys():  # the first missing row in product order, else the first spurious
+                if (row_key := next((k for k in keys if k not in cpt.table), None)) is not None:
+                    raise ValueError(f"variable {key!r}: missing row for parents {row_key}")
+                raise ValueError(f"variable {key!r}: spurious row {next(k for k in cpt.table if k not in keys)}")
+            arity = len(domains[key])
             for row_key, row in cpt.table.items():
                 if len(row) != arity:
                     raise ValueError(f"variable {key!r}: row {row_key} has wrong arity")
+        if (unknown := next((ov for ov in self.outcome_vars if ov not in domains), None)) is not None:
+            raise ValueError(f"outcome variable {unknown!r} not in model")
+        self._plans[None] = _new_plan(self, None)  # raises on a cycle
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         try:
@@ -149,8 +170,6 @@ class DecisionProblem:
         object.__setattr__(self, "evidence", MappingProxyType(dict(self.evidence)))
         if self.action_var not in self.model._domains:
             raise ValueError(f"action_var {self.action_var!r} is not a variable of the model")
-        if self.action_var not in self.model.cpts:
-            raise ValueError(f"variable {self.action_var!r} has no CPT")
         dfv = self.decision_fn_var
         if dfv is not None and not (
             dfv in self.model._domains
@@ -230,8 +249,8 @@ def _new_plan(model: CausalModel, intervention: tuple[str, str | None] | None) -
     The plan is the topological order (Kahn's algorithm, each level sorted);
     per node in it, its id, its CPT row-key getter, the (index, label) pairs
     of its domain and its forced table or None; and the getter of an
-    assignment's outcome labels, None if an outcome variable is not in the
-    model. Raises ValueError on a missing CPT, a dangling parent or a cycle.
+    assignment's outcome labels. Raises ValueError on a cycle, which only
+    the model as it is can have: forcing a node makes it a root.
     """
     forced = {}
     if intervention is not None:
@@ -241,25 +260,19 @@ def _new_plan(model: CausalModel, intervention: tuple[str, str | None] | None) -
         if dfv is not None:
             copy = {(v,): tuple(float(w == v) for w in actions) for v in actions}
             forced = {dfv: Cpt(dfv, (), ones), act: Cpt(act, (dfv,), copy)}
-    try:
-        parents = {vid: (forced.get(vid) or model.cpts[vid]).parents for vid in model._domains}
-    except KeyError as missing:
-        raise ValueError(f"variable {missing.args[0]!r} has no CPT") from None
+    parents = {vid: (forced.get(vid) or model.cpts[vid]).parents for vid in model._domains}
     remaining = {vid: set(deps) for vid, deps in parents.items()}
     order: list[str] = []
     while remaining:
         free = sorted(vid for vid, deps in remaining.items() if not deps)
         if not free:
-            if dangling := next(((vid, p) for vid in parents for p in parents[vid] if p not in parents), None):
-                raise ValueError("variable {!r}: dangling parent reference {!r}".format(*dangling))
             raise ValueError("parent graph contains a cycle")
         order += free
         remaining = {vid: deps.difference(free) for vid, deps in remaining.items() if deps}
     at = {vid: i for i, vid in enumerate(order)}
     levels = tuple((vid, _key_getter(tuple(map(at.get, parents[vid]))), tuple(enumerate(model._domains[vid])),
                     forced[vid].table if vid in forced else None) for vid in order)
-    outcomes = tuple(map(at.get, model.outcome_vars))
-    return tuple(order), levels, None if None in outcomes else _key_getter(outcomes)
+    return tuple(order), levels, _key_getter(tuple(map(at.__getitem__, model.outcome_vars)))
 
 
 def _enumerate(model: CausalModel, evidence: Assignment,
@@ -267,12 +280,11 @@ def _enumerate(model: CausalModel, evidence: Assignment,
     """``model``'s plan under ``intervention`` (see ``_new_plan``), and each full assignment that agrees
     with ``evidence``: a tuple of labels in the plan's order, with the product of its CPT entries.
 
-    The model makes each plan on first use and keeps only those that
-    succeed, so a broken structure raises on every call. Assignments come
-    in lexicographic order of (node in topological order, label in domain
-    order); a branch ends at the first entry that is not positive or the
-    first label that contradicts the evidence. A missing row that an
-    assignment reaches raises ValueError naming the variable.
+    The model makes its own plan when it is built and each forced plan on
+    first use. Assignments come in lexicographic order of (node in
+    topological order, label in domain order); a branch ends at the first
+    entry that is not positive or the first label that contradicts the
+    evidence.
     """
     if (plan := model._plans.get(intervention)) is None:
         plan = model._plans[intervention] = _new_plan(model, intervention)
@@ -281,16 +293,13 @@ def _enumerate(model: CausalModel, evidence: Assignment,
         table = model.cpts[vid].table if table is None else table
         if vid in evidence:
             labels = [(j, label) for j, label in labels if label == evidence[vid]]
-        try:
-            states = [
-                (asg + (label,), prob * row[j])
-                for asg, prob in states
-                for row in (table[row_key(asg)],)
-                for j, label in labels
-                if not row[j] <= 0.0
-            ]
-        except KeyError as missing:
-            raise ValueError(f"variable {vid!r}: missing row for parents {missing.args[0]}") from None
+        states = [
+            (asg + (label,), prob * row[j])
+            for asg, prob in states
+            for row in (table[row_key(asg)],)
+            for j, label in labels
+            if not row[j] <= 0.0
+        ]
     return plan, states
 
 
@@ -332,9 +341,6 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
     else:
         intervention = (act, problem.decision_fn_var if theory == "fdt" else None)
     (order, _, outcome_key), states = _enumerate(model, evidence, intervention)
-    if outcome_key is None:
-        unknown = next(ov for ov in model.outcome_vars if ov not in order)
-        raise ValueError(f"outcome variable {unknown!r} not in model")
     at = order.index(act)
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
     for asg, p in states:

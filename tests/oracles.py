@@ -15,8 +15,9 @@ the closed form that the library takes from the ``newcomb-transparent``
 scenario instead. ``build_by_constructors`` builds a one-shot scenario
 through the checking constructors on every call, the path that
 ``scenarios.build`` takes once per scenario. ``validate_model`` lists
-every way a hand-built causal model breaks the engine's assumptions; the
-library scores a model as given.
+every way a model's parts break the engine's assumptions, with its own
+topological order and enumeration: the library refuses the structural
+faults when the model is built, and scores the rest as given.
 """
 import itertools
 from dataclasses import fields, replace
@@ -25,7 +26,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from fdtsim import graphs
 from fdtsim.graphs import (
     CausalModel,
     Cpt,
@@ -349,9 +349,9 @@ def _point_mass(domain, value):
     return tuple(1.0 if label == value else 0.0 for label in domain)
 
 
-def _topological_order(model):
+def _topological_order(variables, cpts):
     """Kahn's algorithm, with the nodes of each level in sorted order."""
-    remaining = {v.id: set(model.cpts[v.id].parents) for v in model.variables}
+    remaining = {v.id: set(cpts[v.id].parents) for v in variables}
     order = []
     while remaining:
         free = sorted(vid for vid, deps in remaining.items() if not deps)
@@ -365,18 +365,18 @@ def _topological_order(model):
     return order
 
 
-def _joint(model):
+def _joint(variables, cpts):
     """Enumerate all positive-probability full assignments with their weight."""
-    order = _topological_order(model)
+    order, domains = _topological_order(variables, cpts), {v.id: v.domain for v in variables}
 
     def recurse(i, asg, prob):
         if i == len(order):
             yield dict(asg), prob
             return
         vid = order[i]
-        cpt = model.cpts[vid]
+        cpt = cpts[vid]
         row = cpt.table[tuple(asg[p] for p in cpt.parents)]
-        for label, p in zip(model.domain(vid), row):
+        for label, p in zip(domains[vid], row):
             if p <= 0.0:
                 continue
             asg[vid] = label
@@ -389,7 +389,7 @@ def _joint(model):
 def _condition(model, evidence):
     """The joint's assignments that agree with ``evidence``, and their total weight."""
     kept, total = [], 0.0
-    for asg, p in _joint(model):
+    for asg, p in _joint(model.variables, model.cpts):
         if all(asg[k] == v for k, v in evidence.items()):
             kept.append((asg, p))
             total += p
@@ -469,53 +469,58 @@ def decide(problem, theory):
 NORMALIZATION_TOL = 1e-9
 
 
-def validate_model(model: CausalModel) -> list[str]:
-    """Return one diagnostic string per invariant violation; empty if valid."""
-    diags: list[str] = []
-    ids = [v.id for v in model.variables]
-    for v in model.variables:
-        if len(v.domain) < 2:
-            diags.append(f"variable {v.id!r}: domain has fewer than 2 values")
-    id_set = set(ids)
-    for vid in ids:
-        if vid not in model.cpts:
-            diags.append(f"variable {vid!r}: missing CPT")
-    for child, cpt in model.cpts.items():
-        dangling = [p for p in cpt.parents if p not in id_set]
+def validate_model(variables, cpts, outcome_vars, utility) -> list[str]:
+    """One diagnostic string per invariant violation of a model's parts; empty if valid.
+
+    Each structural fault is worded as the library's ``CausalModel`` refuses
+    it. A cycle and the reachable outcomes are looked for only in a model
+    without other structural faults, whatever its numbers.
+    """
+    structure: list[str] = []
+    other = [f"variable {v.id!r}: domain has fewer than 2 values" for v in variables if len(v.domain) < 2]
+    domains = {v.id: v.domain for v in variables}
+    for vid in domains:
+        if vid not in cpts:
+            structure.append(f"variable {vid!r} has no CPT")
+    for child, cpt in cpts.items():
+        if child not in domains:
+            structure.append(f"a CPT is filed under {child!r}, which is not a variable of the model")
+            continue
+        dangling = [p for p in cpt.parents if p not in domains]
         for p in dangling:
-            diags.append(f"variable {child!r}: dangling parent reference {p!r}")
+            structure.append(f"variable {child!r}: dangling parent reference {p!r}")
         if dangling:
             continue
-        domain = model.domain(child)
-        expected_keys = set(itertools.product(*(model.domain(p) for p in cpt.parents)))
+        expected_keys = set(itertools.product(*(domains[p] for p in cpt.parents)))
         for key in expected_keys - set(cpt.table):
-            diags.append(f"variable {child!r}: missing row for parents {key}")
+            structure.append(f"variable {child!r}: missing row for parents {key}")
         for key, row in cpt.table.items():
             if key not in expected_keys:
-                diags.append(f"variable {child!r}: spurious row {key}")
-                continue
-            if len(row) != len(domain):
-                diags.append(f"variable {child!r}: row {key} has wrong arity")
-                continue
-            if any(p < 0.0 or p > 1.0 for p in row):
-                diags.append(f"variable {child!r}: row {key} has entries outside [0, 1]")
-            if abs(sum(row) - 1.0) > NORMALIZATION_TOL:
-                diags.append(f"variable {child!r}: row {key} not normalized")
-    for ov in model.outcome_vars:
-        if ov not in id_set:
-            diags.append(f"outcome variable {ov!r} not in model")
-    if diags:
-        return diags
+                structure.append(f"variable {child!r}: spurious row {key}")
+            elif len(row) != len(domains[child]):
+                structure.append(f"variable {child!r}: row {key} has wrong arity")
+            else:
+                if any(p < 0.0 or p > 1.0 for p in row):
+                    other.append(f"variable {child!r}: row {key} has entries outside [0, 1]")
+                if abs(sum(row) - 1.0) > NORMALIZATION_TOL:
+                    other.append(f"variable {child!r}: row {key} not normalized")
+    for ov in outcome_vars:
+        if ov not in domains:
+            structure.append(f"outcome variable {ov!r} not in model")
+    if structure:
+        return structure + other
     try:
-        (order, _, _), states = graphs._enumerate(model, {})
-    except ValueError:
-        return diags + ["cycle in parent graph"]
+        joint = list(_joint(variables, cpts))
+    except ValueError as cycle:
+        return [cycle.args[0]] + other
     # Utility must cover every outcome assignment that can actually occur.
-    at = [order.index(ov) for ov in model.outcome_vars]
-    reachable = {tuple(asg[i] for i in at) for asg, _ in states}
-    for key in sorted(reachable - set(model.utility)):
-        diags.append(f"utility table missing reachable outcome {key}")
-    return diags
+    reachable = {tuple(asg[ov] for ov in outcome_vars) for asg, _ in joint}
+    return other + [f"utility table missing reachable outcome {key}" for key in sorted(reachable - set(utility))]
+
+
+def model_parts(model):
+    """A built model's (variables, cpts, outcome_vars, utility), the arguments of ``validate_model``."""
+    return model.variables, model.cpts, model.outcome_vars, model.utility
 
 
 # ---------------------------------------------------------------------------

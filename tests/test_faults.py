@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import fdtsim
 import oracles
@@ -45,7 +45,8 @@ from fdtsim.graphs import (
 from fdtsim.scenarios import ScenarioError, build, scenario_defaults
 from test_config import VALID, pd_dict
 from test_evolve import config as loop_config
-from test_graphs import BOOL, chain_model, make_problem
+from test_graphs import BOOL, chain_model, chain_parts, make_problem
+from test_oracles import decision_problems
 
 
 class Prefix(str):
@@ -109,28 +110,6 @@ def repopulated(scores):
         return repopulate(np.array([0, 1, 0, 1]), np.array(scores), config, 2, np.random.default_rng(0))
 
 
-# Each malformed model's reads raise a ValueError naming the variable at
-# fault, worded as oracles.validate_model's diagnostic. infer reads no outcome variable.
-MALFORMED = {
-    "missing-row": (
-        with_prediction(("Decision",), {("one-box",): PREDICTION_ROWS[("one-box",)]}),
-        "variable 'Prediction': missing row for parents ('two-box',)",
-    ),
-    "dangling-parent": (
-        with_prediction(("Decison",), PREDICTION_ROWS),
-        "variable 'Prediction': dangling parent reference 'Decison'",
-    ),
-    "unknown-outcome": (
-        replace(NEWCOMB.model, outcome_vars=("Action", "Predicton")),
-        "outcome variable 'Predicton' not in model",
-    ),
-}
-
-
-def read(model, scorer):
-    return infer(model, {}, "Action") if scorer == "infer" else decide(replace(NEWCOMB, model=model), scorer)
-
-
 # Values that are not finite real numbers; numpy 1 writes np.float32(inf) as inf.
 NOT_FINITE = {"nan": (math.nan, "nan"), "inf": (math.inf, "inf"), "minus-inf": (-math.inf, "-inf"),
               "float32-inf": (np.float32("inf"), None), "str": ("7", "'7'"), "bool": (True, "True"),
@@ -168,13 +147,24 @@ FAULTS = {
                                                "action 'yes' with evidence {} has probability zero"),
     "both-unscorable-first-without-utility": (partial(decide_action_only, (1.0, 0.0), {("no",): 2.0}), KeyError,
                                               "no utility entry for outcome ('yes',)"),
-    **{f"variable-without-cpt-{scorer}": (partial(read, without_cpt("newcomb", "Prediction"), scorer), ValueError,
-                                          "variable 'Prediction' has no CPT")
-       for scorer in ("edt", "cdt", "fdt", "infer")},
-    **{f"{case}-{scorer}": (partial(read, model, scorer), ValueError, message)
-       for case, (model, message) in MALFORMED.items()
-       for scorer in ("edt", "cdt", "fdt", "infer") if (case, scorer) != ("unknown-outcome", "infer")},
     # --- graphs: construction ---
+    # A model that cannot be enumerated is refused when it is built: infer and decide read no structure.
+    "variable-without-cpt": (partial(without_cpt, "newcomb", "Prediction"), ValueError,
+                             "variable 'Prediction' has no CPT"),
+    "missing-row": (partial(with_prediction, ("Decision",), {("one-box",): PREDICTION_ROWS[("one-box",)]}),
+                    ValueError, "variable 'Prediction': missing row for parents ('two-box',)"),
+    # Scored, A never took "no", so B's missing row was never reached.
+    "missing-row-on-zero-probability-branch": (partial(chain_with, A={(): (1.0, 0.0)}, B={("yes",): (0.9, 0.1)}),
+                                               ValueError, "variable 'B': missing row for parents ('no',)"),
+    # Scored, a row under a label outside the parent's domain was ignored without a word.
+    "spurious-row": (partial(chain_with, B={("yes",): (0.9, 0.1), ("maybe",): (0.5, 0.5), ("no",): (0.2, 0.8)}),
+                     ValueError, "variable 'B': spurious row ('maybe',)"),
+    "dangling-parent": (partial(with_prediction, ("Decison",), PREDICTION_ROWS), ValueError,
+                        "variable 'Prediction': dangling parent reference 'Decison'"),
+    "cycle": (lambda: CausalModel(*chain_parts(A=Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)}))),
+              ValueError, "parent graph contains a cycle"),
+    "unknown-outcome": (lambda: replace(NEWCOMB.model, outcome_vars=("Action", "Predicton")), ValueError,
+                        "outcome variable 'Predicton' not in model"),
     # Shares the action's domain but is not its parent; a parent of the action with another domain.
     "decision-fn-not-a-parent": (lambda: replace(NEWCOMB, decision_fn_var="Prediction"), ValueError,
                                  "decision_fn_var 'Prediction' must be a parent of action_var 'Action'"
@@ -194,6 +184,8 @@ FAULTS = {
                            "action_var 'Choice' is not a variable of the model"),
     "action-var-without-cpt": (lambda: replace(NEWCOMB, model=without_cpt("newcomb", "Action")), ValueError,
                                "variable 'Action' has no CPT"),
+    # Scored, an empty domain made infer report that the evidence {} has probability zero.
+    "empty-domain": (partial(Variable, "A", ()), ValueError, "variable 'A' has an empty domain"),
     # Scored as given, Prediction = ("one-box", "one-box") made FDT two-box in Newcomb's problem.
     "repeated-domain-label": (lambda: replace(NEWCOMB.model.variables[2], domain=("one-box", "one-box")), ValueError,
                               "variable 'Prediction' repeats a domain label: ('one-box', 'one-box')"),
@@ -221,11 +213,11 @@ FAULTS = {
                   ValueError, "variable 'Prediction': row ('one-box',) has wrong arity"),
     "long-row": (partial(with_prediction, ("Decision",), {key: row + (0.0,) for key, row in PREDICTION_ROWS.items()}),
                  ValueError, "variable 'Prediction': row ('one-box',) has wrong arity"),
-    # Scored, B's missing row was reached first (A keeps both labels); or A's all-zero row left no
-    # assignment alive to reach C's rows.
+    # The CPTs are checked in order, each whole: B's missing row is refused before C's short row.
+    # An all-zero row is legal, and C's short row is refused though no assignment would reach it.
     "missing-row-before-later-arity": (
         partial(chain_with, B={("yes",): (0.9, 0.1)}, C={("yes",): (0.8,), ("no",): (0.1, 0.9)}),
-        ValueError, "variable 'C': row ('yes',) has wrong arity"),
+        ValueError, "variable 'B': missing row for parents ('no',)"),
     "arity-after-pruned-root": (
         partial(chain_with, A={(): (0.0, 0.0)}, C={("yes",): (0.8,), ("no",): (0.1, 0.9)}),
         ValueError, "variable 'C': row ('yes',) has wrong arity"),
@@ -234,6 +226,9 @@ FAULTS = {
     **{f"{label}-cpt-entry": (partial(with_prediction_row, (value, 0.5)), ValueError, ONE_BOX_ROW + f"({text}, 0.5)")
        for label, (value, text) in NOT_FINITE.items() if label != "float32-inf"},
     "huge-int-cpt-entry": (partial(with_prediction_row, (10**400, 0)), ValueError, ONE_BOX_ROW + f"({10**400}, 0)"),
+    # Scored, the enumeration pruned the negative entry: infer gave A = [0., 1.]. Odds above 1 stay legal.
+    "negative-cpt-entry": (partial(Cpt, "A", (), {(): (-0.5, 1.5)}), ValueError,
+                           "variable 'A': row () has a negative entry: (-0.5, 1.5)"),
     **{f"{label}-utility": (partial(with_utility, value), ValueError, ONE_TWO_UTILITY + text)
        for label, (value, text) in NOT_FINITE.items() if label != "float32-inf"},
     "huge-int-utility": (partial(with_utility, 10**400), ValueError, ONE_TWO_UTILITY + str(10**400)),
@@ -366,9 +361,49 @@ def test_fault_raises_its_exact_type_and_message(case):
         assert info.value.args[0] == message
 
 
-def test_each_malformed_models_message_is_the_oracles_diagnostic():
-    for model, message in MALFORMED.values():
-        assert message in oracles.validate_model(model)
+@st.composite
+def planted_models(draw):
+    """(fault or None, parts): a ``decision_problems`` model's parts with at most one structural fault
+    planted in them. No label or variable is named "x" or "Z"."""
+    model = draw(decision_problems()).model
+    variables, cpts, outcomes = model.variables, dict(model.cpts), list(model.outcome_vars)
+    fault = draw(st.sampled_from([None, "dropped-cpt", "dropped-row", "spurious-row", "renamed-parent", "cycle",
+                                  "renamed-outcome"]))
+    ids = [vid for vid in sorted(cpts) if cpts[vid].parents or fault != "renamed-parent"]
+    assume(ids)
+    vid = draw(st.sampled_from(ids))
+    parents, table = cpts[vid].parents, dict(cpts[vid].table)
+    if fault == "dropped-cpt":
+        del cpts[vid]
+    elif fault == "dropped-row":
+        del table[draw(st.sampled_from(list(table)))]
+    elif fault == "spurious-row":
+        table[("x",) * max(len(parents), 1)] = next(iter(table.values()))
+    elif fault == "renamed-parent":
+        at = draw(st.integers(0, len(parents) - 1))
+        parents = parents[:at] + ("Z",) + parents[at + 1:]
+    elif fault == "cycle":  # vid takes as its last parent itself or a child of its own
+        child = draw(st.sampled_from([vid] + [c for c, cpt in cpts.items() if vid in cpt.parents]))
+        parents += (child,)
+        table = {key + (label,): row for key, row in table.items() for label in model.domain(child)}
+    elif fault == "renamed-outcome":
+        outcomes[draw(st.integers(0, len(outcomes) - 1))] = "Z"
+    if fault not in (None, "dropped-cpt", "renamed-outcome"):
+        cpts[vid] = Cpt(vid, parents, table)
+    return fault, (variables, cpts, tuple(outcomes), model.utility)
+
+
+@given(planted_models())
+@settings(max_examples=300)
+def test_a_model_with_a_structural_fault_is_refused_with_the_oracles_diagnostic(case):
+    fault, parts = case
+    if fault is None:
+        CausalModel(*parts)
+        return
+    with pytest.raises(ValueError) as info:
+        CausalModel(*parts)
+    assert type(info.value) is ValueError
+    assert info.value.args[0] in oracles.validate_model(*parts)
 
 
 def test_every_error_type_is_the_type_of_a_row():

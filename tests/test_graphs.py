@@ -49,36 +49,35 @@ def chain_model(p_a=0.3, p_b_given=(0.9, 0.2), p_c_given=(0.8, 0.1)):
     )
 
 
+def chain_parts(**cpts):
+    """``chain_model``'s parts, for ``oracles.validate_model``, with some of its CPTs replaced."""
+    variables, model_cpts, outcome_vars, utility = oracles.model_parts(chain_model())
+    return variables, {**model_cpts, **cpts}, outcome_vars, utility
+
+
 def test_validate_clean_model():
-    assert oracles.validate_model(chain_model()) == []
+    assert oracles.validate_model(*oracles.model_parts(chain_model())) == []
 
 
 def test_validate_catches_unnormalized_row():
-    model = chain_model()
-    bad = Cpt("A", (), {(): (0.6, 0.6)})
-    msgs = oracles.validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
-    assert any("normal" in m.lower() for m in msgs)
+    msgs = oracles.validate_model(*chain_parts(A=Cpt("A", (), {(): (0.6, 0.6)})))
+    assert "variable 'A': row () not normalized" in msgs
 
 
 def test_validate_catches_dangling_parent():
-    model = chain_model()
-    bad = Cpt("B", ("Z",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    msgs = oracles.validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
-    assert any("Z" in m for m in msgs)
+    msgs = oracles.validate_model(*chain_parts(B=Cpt("B", ("Z",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})))
+    assert msgs == ["variable 'B': dangling parent reference 'Z'"]
 
 
 def test_validate_catches_cycle():
-    model = chain_model()
-    bad = Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    msgs = oracles.validate_model(replace(model, cpts={**model.cpts, bad.child: bad}))
-    assert any("cycle" in m.lower() for m in msgs)
+    msgs = oracles.validate_model(*chain_parts(A=Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})))
+    assert msgs == ["parent graph contains a cycle"]
 
 
 def test_validate_catches_missing_utility_row():
-    model = chain_model()
-    broken = CausalModel(model.variables, model.cpts, ("C",), {("yes",): 1.0})
-    msgs = oracles.validate_model(broken)
-    assert any("utility" in m.lower() for m in msgs)
+    variables, cpts, outcome_vars, _ = chain_parts()
+    msgs = oracles.validate_model(variables, cpts, outcome_vars, {("yes",): 1.0})
+    assert msgs == ["utility table missing reachable outcome ('no',)"]
 
 
 def test_infer_matches_hand_computation():
@@ -143,18 +142,6 @@ def test_same_ids_under_other_edges_get_their_own_order():
             posterior = infer(model, {"A": "yes"}, query)
             assert posterior.tobytes() == oracles.infer(model, {"A": "yes"}, query).tobytes()
     assert orders == [("A", "B", "C"), ("C", "B", "A")]
-
-
-def test_cycle_raises_on_every_call():
-    model = chain_model()
-    bad = Cpt("A", ("C",), {("yes",): (0.5, 0.5), ("no",): (0.5, 0.5)})
-    cyclic = replace(model, cpts={**model.cpts, "A": bad})
-    for _ in range(3):
-        with pytest.raises(ValueError, match="cycle"):
-            infer(cyclic, {}, "B")
-        with pytest.raises(ValueError, match="cycle"):
-            decide(make_problem(cyclic), "edt")
-    assert cyclic._plans == {}  # a plan that fails is not kept
 
 
 def test_plan_holds_only_tuples_with_the_domain_labels_and_evidence_filters_them_per_call():

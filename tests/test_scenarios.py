@@ -8,6 +8,7 @@ from fdtsim.scenarios import SCENARIO_IDS, build
 from oracles import (
     SCENARIO_PAIRS,
     build_by_constructors,
+    model_parts,
     scenario_closed_form,
     scenario_params,
     validate_model,
@@ -45,10 +46,10 @@ def test_default_choices(scenario, theory):
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_models_validate_clean(scenario, data):
-    # The library scores a model as given, so build alone keeps rows normalized and in [0, 1].
+    # The library scores the numbers of a model as given, so build alone keeps rows normalized and in [0, 1].
     v = scenario_params(scenario, lambda low, high: data.draw(st.floats(low, high)))
-    assert validate_model(build(scenario).model) == []
-    assert validate_model(build(scenario, **v).model) == []
+    assert validate_model(*model_parts(build(scenario).model)) == []
+    assert validate_model(*model_parts(build(scenario, **v).model)) == []
 
 
 def test_newcomb_values():
