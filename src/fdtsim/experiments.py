@@ -37,8 +37,9 @@ def _plain(value, name: str):
 class ExperimentConfig:
     """One evolutionary run: the game, its parameters, and the loop settings.
 
-    Every field is checked on construction, so a config that exists can be run.
-    Numbers are kept as given (numpy ones as their Python value), so the CSV header echoes it.
+    Every field is checked on construction, so a config that exists can be run: it keeps the game's
+    config that it checked as ``_game``, which ``run`` plays. Numbers are kept as given (numpy ones
+    as their Python value), so the CSV header echoes it.
     """
 
     game: str
@@ -77,17 +78,14 @@ class ExperimentConfig:
             raise ValueError(f"game_params must be an object, got {self.game_params!r}")
         params = {k: _plain(v, f"game_params[{k!r}]") for k, v in self.game_params.items()}
         object.__setattr__(self, "game_params", params)
-        self._game_config()
+        try:  # a TypeError is a key the game's config does not have
+            object.__setattr__(self, "_game", GAMES[self.game][1](**params))
+        except TypeError as exc:
+            raise ValueError(f"invalid game_params for {self.game!r}: {exc}") from None
         # Not an array, which JSON cannot hold; kept as given, so the CSV header echoes it.
         shares, types = self.initial_shares, len(GAMES[self.game][0].type_names)
         _check_shares(shares, types, "initial_shares", kinds=(list, tuple))
         object.__setattr__(self, "initial_shares", tuple(_plain(s, "initial_shares") for s in shares))
-
-    def _game_config(self):
-        try:
-            return GAMES[self.game][1](**self.game_params)
-        except TypeError as exc:  # a key the game's config does not have
-            raise ValueError(f"invalid game_params for {self.game!r}: {exc}") from None
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}
@@ -112,7 +110,7 @@ class ExperimentConfig:
 
 
 def run(config: ExperimentConfig) -> Trajectory:
-    return run_experiment(config, GAMES[config.game][0](config._game_config()))
+    return run_experiment(config, GAMES[config.game][0](config._game))
 
 
 THIRD = 1.0 / 3.0

@@ -8,7 +8,6 @@ contest: the whole population guesses at once and is scored by inverse error.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -62,11 +61,7 @@ class PdConfig:
             raise ValueError("all payoffs must be positive")
         if not 0.0 <= self.signal_accuracy <= 1.0:
             raise ValueError(f"signal_accuracy must be in [0, 1], got {self.signal_accuracy}")
-
-    @functools.cached_property
-    def _tables(self) -> _PdTables:
-        """This config's signal-PD tables, built on first use and kept with the config."""
-        return _PdTables(self)
+        object.__setattr__(self, "_tables", _PdTables(self))
 
 
 @dataclass(frozen=True)
@@ -119,7 +114,7 @@ _PD_FDT_COOP = _PD_POLICY_COOP[:, _SEEN]
 
 
 class _PdTables:
-    """Everything in the signal PD that depends on the config alone; see ``PdConfig._tables``."""
+    """Everything in the signal PD that depends on the config alone, built with the config as its ``_tables``."""
 
     def __init__(self, config: PdConfig):
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.

@@ -105,6 +105,7 @@ class CausalModel:
     domains and whose rows have the variable's domain's length; the parent
     graph is acyclic, and the outcome variables are variables. ``cpts`` and
     ``utility`` are read-only views of private copies, so it stays checked.
+    Its enumeration plan (see ``_new_plan``) is built with it, as ``_plan``.
     """
 
     variables: tuple[Variable, ...]
@@ -118,7 +119,6 @@ class CausalModel:
         object.__setattr__(self, "cpts", MappingProxyType(dict(self.cpts)))
         object.__setattr__(self, "utility", _checked_utility((tuple(k), u) for k, u in self.utility.items()))
         object.__setattr__(self, "_domains", domains := {v.id: v.domain for v in self.variables})
-        object.__setattr__(self, "_plans", {})
         if len(domains) != len(self.variables):
             ids = [v.id for v in self.variables]
             repeated = next(var_id for var_id in ids if ids.count(var_id) > 1)
@@ -143,7 +143,7 @@ class CausalModel:
                     raise ValueError(f"variable {key!r}: row {row_key} has wrong arity")
         if (unknown := next((ov for ov in self.outcome_vars if ov not in domains), None)) is not None:
             raise ValueError(f"outcome variable {unknown!r} not in model")
-        self._plans[None] = _new_plan(self, None)  # raises on a cycle
+        object.__setattr__(self, "_plan", _new_plan(self, None))  # raises on a cycle
 
     def domain(self, var_id: str) -> tuple[str, ...]:
         try:
@@ -159,6 +159,7 @@ class DecisionProblem:
     ``decision_fn_var`` names the node standing for the agent's own decision
     procedure; it must share the action variable's domain and be listed among
     the action variable's parents. ``evidence`` is a read-only copy.
+    ``_plans``, built with it, maps each theory to its plan; FDT's is None without ``decision_fn_var``.
     """
 
     model: CausalModel
@@ -181,6 +182,10 @@ class DecisionProblem:
                 f"{self.action_var!r} with the same domain {self.actions}"
             )
         _check_evidence(self.model, self.evidence)
+        act, model = self.action_var, self.model
+        plans = {"edt": model._plan, "cdt": _new_plan(model, (act, None)),
+                 "fdt": None if dfv is None else _new_plan(model, (act, dfv))}
+        object.__setattr__(self, "_plans", MappingProxyType(plans))
 
     @property
     def actions(self) -> tuple[str, ...]:
@@ -209,9 +214,10 @@ def _refilled(template: DecisionProblem, rows: Iterable[tuple[float, ...]],
             for vid, cpt in model.cpts.items()}
     model = _unchecked(CausalModel, variables=model.variables, cpts=MappingProxyType(cpts),
                        outcome_vars=model.outcome_vars, utility=_checked_utility(zip(model.utility, utilities)),
-                       _domains=model._domains, _plans=model._plans)
+                       _domains=model._domains, _plan=model._plan)
     return _unchecked(DecisionProblem, model=model, action_var=template.action_var,
-                      decision_fn_var=template.decision_fn_var, evidence=MappingProxyType({}))
+                      decision_fn_var=template.decision_fn_var, evidence=MappingProxyType({}),
+                      _plans=template._plans)
 
 
 @dataclass(frozen=True)
@@ -275,19 +281,16 @@ def _new_plan(model: CausalModel, intervention: tuple[str, str | None] | None) -
     return tuple(order), levels, _key_getter(tuple(map(at.__getitem__, model.outcome_vars)))
 
 
-def _enumerate(model: CausalModel, evidence: Assignment,
-               intervention: tuple[str, str | None] | None = None) -> tuple[tuple, list]:
-    """``model``'s plan under ``intervention`` (see ``_new_plan``), and each full assignment that agrees
-    with ``evidence``: a tuple of labels in the plan's order, with the product of its CPT entries.
+def _enumerate(model: CausalModel, evidence: Assignment, plan: tuple) -> list:
+    """Each full assignment of ``model`` under ``plan`` that agrees with ``evidence``: a tuple of labels
+    in the plan's order, with the product of its CPT entries.
 
-    The model makes its own plan when it is built and each forced plan on
-    first use. Assignments come in lexicographic order of (node in
-    topological order, label in domain order); a branch ends at the first
-    entry that is not positive or the first label that contradicts the
-    evidence.
+    ``plan`` is one that a constructor built (see ``_new_plan``): the
+    model's own, or a problem's forced CDT or FDT plan. Assignments come in
+    lexicographic order of (node in topological order, label in domain
+    order); a branch ends at the first entry that is not positive or the
+    first label that contradicts the evidence.
     """
-    if (plan := model._plans.get(intervention)) is None:
-        plan = model._plans[intervention] = _new_plan(model, intervention)
     states: list[tuple[tuple[str, ...], float]] = [((), 1.0)]
     for vid, row_key, labels, table in plan[1]:  # the levels, in topological order
         table = model.cpts[vid].table if table is None else table
@@ -300,7 +303,7 @@ def _enumerate(model: CausalModel, evidence: Assignment,
             for j, label in labels
             if not row[j] <= 0.0
         ]
-    return plan, states
+    return states
 
 
 def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
@@ -308,8 +311,8 @@ def infer(model: CausalModel, evidence: Assignment, query: str) -> np.ndarray:
     _check_evidence(model, evidence)
     if query not in model._domains:
         raise ValueError(f"query names unknown variable {query!r}")
-    (order, _, _), states = _enumerate(model, evidence)
-    at, domain = order.index(query), model.domain(query)
+    states = _enumerate(model, evidence, model._plan)
+    at, domain = model._plan[0].index(query), model.domain(query)
     weights, total = dict.fromkeys(domain, 0.0), 0.0
     for asg, p in states:
         weights[asg[at]] += p
@@ -330,18 +333,14 @@ def _scores(problem: DecisionProblem, theory: str) -> dict[str, float]:
     action alone, so each action's sums are the same to the last bit.
     """
     model, act, actions, utility = problem.model, problem.action_var, problem.actions, problem.model.utility
-    evidence, intervention = problem.evidence, None
-    if theory == "edt":
-        if act in evidence:
-            evidence = {var: label for var, label in evidence.items() if var != act}
-    elif theory == "fdt" and problem.decision_fn_var is None:
+    if (plan := problem._plans[theory]) is None:
         raise MissingDecisionFunctionError(
             "problem has no decision-function variable; functional evaluation undefined"
         )
-    else:
-        intervention = (act, problem.decision_fn_var if theory == "fdt" else None)
-    (order, _, outcome_key), states = _enumerate(model, evidence, intervention)
-    at = order.index(act)
+    if act in (evidence := problem.evidence) and theory == "edt":
+        evidence = {var: label for var, label in evidence.items() if var != act}
+    order, _, outcome_key = plan
+    states, at = _enumerate(model, evidence, plan), order.index(act)
     totals, accs, missing = dict.fromkeys(actions, 0.0), dict.fromkeys(actions, 0.0), {}
     for asg, p in states:
         action, outcome = asg[at], outcome_key(asg)

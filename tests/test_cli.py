@@ -343,6 +343,8 @@ FAILURES = {
     "nan-birth-rate-flag": (EVOLVE_PD + ["--birth-rate", "nan"], None, 1,
                             "birth_rate must be a number in [0, 1], got nan\n"),
     "evolve-no-config-or-preset": (["evolve"], None, 1, "one of --config or --preset is required\n"),
+    "evolve-config-and-preset": (["evolve", "--config", "x.json", "--preset", "pd-baseline"], None, 1,
+                                 "pass either --config or --preset, not both\n"),
     "evolve-unknown-preset": (["evolve", "--preset", "nope"], None, 1, "unknown preset 'nope'; available: "),
     # I/O: a config file that cannot be read, an output directory that does not exist.
     "evolve-config-missing": (

@@ -10,7 +10,9 @@ from dataclasses import fields
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+from fdtsim import experiments
 from fdtsim.experiments import GAMES, PRESETS, ExperimentConfig
+from test_graphs import attributes
 
 VALID = {
     "pd": {
@@ -75,6 +77,15 @@ def test_presets_keep_their_order_and_settings():
         assert json.dumps(config.to_dict(), sort_keys=True) == json.dumps(expected[name], sort_keys=True)
 
 
+def test_a_run_plays_the_game_config_that_was_checked_and_changes_neither():
+    for data in VALID.values():
+        config = ExperimentConfig.from_dict(data)
+        assert config._game == GAMES[config.game][1](**config.game_params)
+        built = [attributes(config), attributes(config._game)]
+        experiments.run(config)
+        assert [attributes(config), attributes(config._game)] == built
+
+
 def test_from_dict_takes_defaults_from_the_dataclass():
     names = ("game", "population", "generations", "rounds", "initial_shares")
     required = {name: VALID["newcomb"][name] for name in names}
@@ -102,7 +113,7 @@ WRONG = st.one_of(
 
 @st.composite
 def game_params(draw, game):
-    names = list(vars(GAMES[game][1]()))
+    names = [f.name for f in fields(GAMES[game][1])]
     keys = draw(st.lists(st.sampled_from(names + ["signal_acuracy", "bogus", ""]), max_size=4))
     return {key: draw(st.one_of(st.floats(0.0, 20.0), WRONG)) for key in keys}
 
@@ -138,7 +149,7 @@ def one_wrong_value(draw):
     if draw(st.booleans()):
         data[draw(st.sampled_from([f.name for f in fields(ExperimentConfig)]))] = draw(WRONG)
     else:
-        name = draw(st.sampled_from(list(vars(GAMES[game][1]()))))
+        name = draw(st.sampled_from([f.name for f in fields(GAMES[game][1])]))
         data["game_params"] = dict(data.get("game_params", {}), **{name: draw(WRONG)})
     return data
 

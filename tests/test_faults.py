@@ -26,6 +26,7 @@ from fdtsim.evolve import NonPositiveScoreError, Population, repopulate
 from fdtsim.experiments import ExperimentConfig
 from fdtsim.games import (
     BeautyConfig,
+    BeautyGame,
     NewcombConfig,
     PdConfig,
     beauty_guesses,
@@ -131,6 +132,7 @@ FAULTS = {
     "infer-label-outside-domain": (
         lambda: infer(NEWCOMB.model, {"Action": "three-box"}, "Action"), ValueError,
         "evidence label 'three-box' is not in the domain ('one-box', 'two-box') of 'Action'"),
+    "domain-of-unknown-variable": (partial(NEWCOMB.model.domain, "Z"), KeyError, "no variable 'Z' in model"),
     "fdt-without-decision-function": (lambda: decide(make_problem(chain_model()), "fdt"),
                                       MissingDecisionFunctionError,
                                       "problem has no decision-function variable; functional evaluation undefined"),
@@ -267,6 +269,9 @@ FAULTS = {
        for reader, read in SHARE_READERS.items() for label, (shares, text) in BAD_SHARES.items()},
     "pd-eus-unknown-policy": (partial(pd_expected_utilities, PdConfig(), (1 / 3,) * 3, ("D", "X", "C")), ValueError,
                               f"policy must be one of {PD_POLICIES}, got ('D', 'X', 'C')"),
+    # Unchecked, the block size _BLOCK_ELEMENTS // 0 raised ZeroDivisionError.
+    "beauty-empty-population": (partial(BeautyGame(BeautyConfig()).play_generation, np.array([], dtype=int),
+                                        (50.0, 0.0), 1, np.random.default_rng(0)), ValueError, "population is empty"),
     "play-many-unknown-policy": (
         partial(pd_play_many, np.array([2]), np.array([0]), ["C", "C"], PdConfig(), np.random.default_rng(0)),
         ValueError, f"policy must be one of {PD_POLICIES}, got ['C', 'C']"),

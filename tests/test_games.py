@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from fdtsim.games import (
 
 import oracles
 from oracles import library_component_eu, newcomb_choice, payoff, pd_play_round
+from test_graphs import attributes
 
 BASELINE = PdConfig()
 THIRDS = (1 / 3, 1 / 3, 1 / 3)
@@ -45,9 +47,19 @@ def test_game_configs_accept_numpy_numbers():
     kinds = (int, np.int64, np.float32, np.float64, float)
     for (config, params), kind in itertools.product(WHOLE_PARAMS.items(), kinds):
         built = config(**{name: kind(value) for name, value in params.items()})
-        assert all(type(value) is float for value in vars(built).values()), (config, kind)
+        assert all(type(getattr(built, f.name)) is float for f in fields(built)), (config, kind)
         assert {name: getattr(built, name) for name in params} == params
     assert PdConfig(signal_accuracy=np.float32(0.5)).signal_accuracy == 0.5
+
+
+def test_a_pd_config_is_as_built_after_use():
+    # Its tables are built with it: no solve, EU or generation adds or replaces an attribute.
+    config = PdConfig(signal_accuracy=0.8)
+    built = attributes(config)
+    policy = solve_fdt_pd_policy(config, THIRDS)
+    pd_expected_utilities(config, THIRDS, policy)
+    PdGame(config).play_generation(np.array([0, 1, 2, 2, 1]), policy, 3, np.random.default_rng(0))
+    assert attributes(config) == built
 
 
 def test_baseline_policy_defects_except_on_fdt_signal():

@@ -2,6 +2,7 @@ import ast
 import itertools
 import math
 import tracemalloc
+from collections.abc import Mapping
 from dataclasses import replace
 from pathlib import Path
 
@@ -100,6 +101,11 @@ def test_edt_equals_cdt_for_root_action():
     edt, cdt = (decide(problem, theory).expected_utility for theory in ("edt", "cdt"))
     for action in BOOL:
         assert edt[action] == pytest.approx(cdt[action], abs=1e-12)
+    # Utilities given as an int and a numpy float are stored as the floats they equal.
+    mixed = replace(problem.model, utility={("yes",): 10, ("no",): np.float64(0.0)})
+    assert all(type(u) is float for u in mixed.utility.values())
+    for theory in ("edt", "cdt"):
+        assert decide(make_problem(mixed), theory) == decide(problem, theory)
 
 
 def test_decide_ties_break_to_first_action():
@@ -133,7 +139,8 @@ def reversed_chain_model():
 def test_same_ids_under_other_edges_get_their_own_order():
     orders = []
     for model in (chain_model(), reversed_chain_model()):
-        (order, _, _), _ = graphs._enumerate(model, {})
+        order, _, _ = plan = model._plan
+        assert [asg for asg, _ in graphs._enumerate(model, {}, plan)] == list(itertools.product(BOOL, repeat=3))
         orders.append(order)
         problem = make_problem(model)
         for theory in ("edt", "cdt"):
@@ -153,8 +160,8 @@ def test_plan_holds_only_tuples_with_the_domain_labels_and_evidence_filters_them
             for vid in domains}
     model = CausalModel(tuple(itertools.starmap(Variable, domains.items())), cpts, ("C", "A"),
                         {key: 1.0 for key in itertools.product(domains["C"], domains["A"])})
-    plan, states = graphs._enumerate(model, {"C": "r"})
-    order, levels, outcome_key = plan
+    order, levels, outcome_key = plan = model._plan
+    states = graphs._enumerate(model, {"C": "r"}, plan)
     assert order == ("A", "B", "C") and type(levels) is tuple
     assert all(type(level) is tuple and type(level[2]) is tuple for level in levels)
     assert all(type(pair) is tuple for level in levels for pair in level[2])
@@ -168,32 +175,29 @@ def test_plan_holds_only_tuples_with_the_domain_labels_and_evidence_filters_them
         ("C", ((0, "p"), (1, "q"), (2, "r")), None),
     ]
     assert [asg for asg, _ in states] == [(a, b, "r") for a in domains["A"] for b in domains["B"]]
-    assert model._plans == {None: plan} and graphs._enumerate(model, {})[0] is plan
+    everything = [asg for asg, _ in graphs._enumerate(model, {}, plan)]
+    assert everything == list(itertools.product(*map(domains.get, order)))
 
 
 def test_each_theory_scores_under_its_own_plan():
     problem = build("newcomb")
-    for theory in graphs.THEORIES:
-        decide(problem, theory)
-    # Keyed on the intervention: none for EDT, the forced action for CDT, and for FDT the decision node too.
-    forced = {key: {vid: table for vid, _, _, table in levels if table is not None}
-              for key, (_, levels, _) in problem.model._plans.items()}
+    # None forced for EDT, which scores under the model's own plan, the action for CDT, and for FDT
+    # the decision node too.
+    forced = {theory: {vid: table for vid, _, _, table in levels if table is not None}
+              for theory, (_, levels, _) in problem._plans.items()}
     ones, copy = {(): (1.0, 1.0)}, {("one-box",): (1.0, 0.0), ("two-box",): (0.0, 1.0)}
-    assert forced == {
-        None: {},
-        ("Action", None): {"Action": ones},
-        ("Action", "Decision"): {"Decision": ones, "Action": copy},
-    }
+    assert forced == {"edt": {}, "cdt": {"Action": ones}, "fdt": {"Decision": ones, "Action": copy}}
+    assert problem._plans["edt"] is problem.model._plan
 
 
 def test_builds_share_their_templates_plans():
     template = scenarios._template("twin-pd")
     for rho in np.linspace(0.0, 1.0, 1_000):
         problem = build("twin-pd", rho=rho)
-        assert problem.model._plans is template.model._plans
+        assert problem._plans is template._plans and problem.model._plan is template.model._plan
         for theory in graphs.THEORIES:
             decide(problem, theory)
-    assert len(template.model._plans) <= 3
+    assert len(template._plans) == 3
 
 
 @given(shift=st.floats(-1e4, 1e4, allow_nan=False), seed=st.integers(0, 10_000))
@@ -263,6 +267,12 @@ def test_posteriors_normalized(seed):
         assert (post >= 0).all()
 
 
+def attributes(obj):
+    """``obj``'s attributes by name: the id of each value and, for a mapping, the ids of its items by key."""
+    return {name: (id(value), {key: id(item) for key, item in value.items()} if isinstance(value, Mapping) else None)
+            for name, value in vars(obj).items()}
+
+
 def mutate(problem, part):
     """Try to change one part of ``problem`` after its checks ran."""
     model, act = problem.model, problem.action_var
@@ -283,10 +293,18 @@ def mutate(problem, part):
 def test_a_checked_problem_cannot_be_changed(source, part):
     # Changed in place, a NaN row or an infinite utility gave NaN EUs, and decide still chose.
     problem = make_problem(chain_model()) if source == "chain_model" else build(source)
-    before = [decide(problem, theory) for theory in ("edt", "cdt")]
+    built = [attributes(problem), attributes(problem.model)]
+    theories = [theory for theory in graphs.THEORIES if theory != "fdt" or problem.decision_fn_var]
+    before = [decide(problem, theory) for theory in theories]
+    if problem.decision_fn_var is None:
+        with pytest.raises(graphs.MissingDecisionFunctionError):
+            decide(problem, "fdt")
+    infer(problem.model, {}, problem.action_var)
+    # Nothing is filled in on a read: every attribute, and every item of a mapping among them, is as built.
+    assert [attributes(problem), attributes(problem.model)] == built
     with pytest.raises(TypeError):
         mutate(problem, part)
-    assert [decide(problem, theory) for theory in ("edt", "cdt")] == before
+    assert [decide(problem, theory) for theory in theories] == before
     assert all(math.isfinite(u) for report in before for u in report.expected_utility.values())
 
 
