@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import MISSING, dataclass, field, fields, replace
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,7 +40,8 @@ class ExperimentConfig:
 
     Every field is checked on construction, so a config that exists can be run: it keeps the game's
     config that it checked as ``_game``, which ``run`` plays. Numbers are kept as given (numpy ones
-    as their Python value), so the CSV header echoes it.
+    as their Python value), so the CSV header echoes it. ``game_params`` is a read-only view, and a
+    config pickles as its ``to_dict``.
     """
 
     game: str
@@ -74,18 +76,20 @@ class ExperimentConfig:
         if self.birth_rate > 0.0 and self.rounds < 1:
             # With no round played every agent scores 0, which reproduction cannot weight.
             raise ValueError("rounds must be >= 1 when birth_rate is positive")
-        if not isinstance(self.game_params, dict):
+        if not isinstance(self.game_params, (dict, MappingProxyType)):  # a view: what ``replace`` passes back
             raise ValueError(f"game_params must be an object, got {self.game_params!r}")
         params = {k: _plain(v, f"game_params[{k!r}]") for k, v in self.game_params.items()}
-        object.__setattr__(self, "game_params", params)
+        object.__setattr__(self, "game_params", MappingProxyType(params))
         try:  # a TypeError is a key the game's config does not have
             object.__setattr__(self, "_game", GAMES[self.game][1](**params))
         except TypeError as exc:
             raise ValueError(f"invalid game_params for {self.game!r}: {exc}") from None
-        # Not an array, which JSON cannot hold; kept as given, so the CSV header echoes it.
         shares, types = self.initial_shares, len(GAMES[self.game][0].type_names)
-        _check_shares(shares, types, "initial_shares", kinds=(list, tuple))
+        _check_shares(shares, types, "initial_shares")
         object.__setattr__(self, "initial_shares", tuple(_plain(s, "initial_shares") for s in shares))
+
+    def __reduce__(self):
+        return type(self).from_dict, (self.to_dict(),)
 
     def to_dict(self) -> dict:
         data = {f.name: getattr(self, f.name) for f in fields(self)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import _check_shares, _posteriors, signal_likelihoods
+from .beliefs import _check_shares, _posteriors, _signal_likelihoods
 from .graphs import _is_finite_number, decide
 from .scenarios import build
 
@@ -118,7 +118,7 @@ class _PdTables:
 
     def __init__(self, config: PdConfig):
         # likelihoods[s, t]: probability that a signal about an agent of type t names type s.
-        likelihoods = signal_likelihoods(config.signal_accuracy)
+        likelihoods = _signal_likelihoods(config.signal_accuracy)
         cc, cd, dc, dd = config.cc, config.cd, config.dc, config.dd
         payoff = np.array([[dd, dc], [cd, cc]])  # [own action, opponent action], D = 0, C = 1
         # vs[action, policy]: the action's EU against an FDT opponent that follows the policy.

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from fdtsim import experiments
-from fdtsim.beliefs import _posteriors, signal_likelihoods
+from fdtsim.beliefs import _posteriors, _signal_likelihoods
 from fdtsim.evolve import run_experiment
 from fdtsim.experiments import PRESETS, ExperimentConfig
 from fdtsim.games import (
@@ -414,7 +414,7 @@ def test_criterion_14_invariant_spotchecks():
     # posterior normalization + odds-rescaling invariance
     for _ in range(100):
         prior = rng.dirichlet(np.ones(3))
-        likelihoods = signal_likelihoods(rng.uniform(0.05, 0.95))
+        likelihoods = _signal_likelihoods(rng.uniform(0.05, 0.95))
         signal = int(rng.integers(0, 3))
         post = np.array(_posteriors(prior, likelihoods, [signal])[0])
         ok &= abs(post.sum() - 1.0) < 1e-9 and (post >= 0).all()

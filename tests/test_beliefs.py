@@ -2,16 +2,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fdtsim.beliefs import _posteriors, signal_likelihoods
+from fdtsim.beliefs import _posteriors, _signal_likelihoods
 
 
 def posterior(prior, signal, accuracy):
     """The posterior after one signal, from a three-type signal of the given accuracy."""
-    return np.array(_posteriors(prior, signal_likelihoods(accuracy), [signal])[0])
+    return np.array(_posteriors(prior, _signal_likelihoods(accuracy), [signal])[0])
 
 
 def test_likelihood_shape():
-    assert signal_likelihoods(0.8)[0] == pytest.approx([0.8, 0.1, 0.1])
+    assert _signal_likelihoods(0.8)[0] == pytest.approx([0.8, 0.1, 0.1])
 
 
 def test_posterior_hand_computed():

@@ -3,11 +3,14 @@
 Every field is checked when the config is built, so bad input fails there
 with a ``ValueError`` and never later, inside a run.
 """
+import copy
 import json
 import math
-from dataclasses import fields
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from fdtsim import experiments
@@ -86,6 +89,34 @@ def test_a_run_plays_the_game_config_that_was_checked_and_changes_neither():
         assert [attributes(config), attributes(config._game)] == built
 
 
+def copies(config):
+    """``config`` rebuilt by ``replace``, through ``pickle`` and by ``copy.deepcopy``."""
+    return replace(config), pickle.loads(pickle.dumps(config)), copy.deepcopy(config)
+
+
+def test_game_params_cannot_be_changed_and_a_config_copies_whole():
+    # As a dict it could be changed after the checks, and the CSV header named parameters that never ran.
+    config = replace(PRESETS["pd-baseline"], population=200, generations=1, rounds=2)
+    with pytest.raises(TypeError):
+        config.game_params["cc"] = 1.0
+    assert config.game_params["cc"] == config._game.cc == 7.0
+    for config in [*PRESETS.values(), *map(ExperimentConfig.from_dict, VALID.values())]:
+        for copied in copies(config):
+            assert copied == config and copied._game == config._game
+            assert json.dumps(copied.to_dict()) == json.dumps(config.to_dict())
+
+
+def test_array_shares_are_kept_as_the_numbers_of_their_list_twin():
+    # A 1-D array takes the share rule that a list takes, and the config and its CSV cannot tell them apart.
+    for shares in ([0.2, 0.3, 0.5], [1, 0, 0]):
+        as_array = ExperimentConfig.from_dict(pd_dict(initial_shares=np.array(shares)))
+        as_list = ExperimentConfig.from_dict(pd_dict(initial_shares=shares))
+        assert as_array == as_list and as_array.initial_shares == tuple(shares)
+        assert [type(share) for share in as_array.initial_shares] == [type(share) for share in shares]
+        csv = [experiments.trajectory_csv(experiments.run(config), config) for config in (as_array, as_list)]
+        assert csv[0] == csv[1]
+
+
 def test_from_dict_takes_defaults_from_the_dataclass():
     names = ("game", "population", "generations", "rounds", "initial_shares")
     required = {name: VALID["newcomb"][name] for name in names}
@@ -162,6 +193,7 @@ def assert_rejected_or_round_trips(data):
     again = ExperimentConfig.from_dict(json.loads(json.dumps(config.to_dict())))
     assert again == config
     assert again.to_dict() == config.to_dict()
+    assert all(copied == config for copied in copies(config))
 
 
 @given(data=st.one_of(config_dicts(), WRONG))

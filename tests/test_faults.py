@@ -21,7 +21,6 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import fdtsim
 import oracles
-from fdtsim.beliefs import signal_likelihoods
 from fdtsim.evolve import NonPositiveScoreError, Population, repopulate
 from fdtsim.experiments import ExperimentConfig
 from fdtsim.games import (
@@ -258,6 +257,9 @@ FAULTS = {
                            "payoffs must satisfy DC > CC > DD > CD as floats, got DC=7.0 CC=10.0 DD=4.0 CD=1.0"),
     "pd-signal-accuracy-above-1": (partial(PdConfig, signal_accuracy=1.5), ValueError,
                                    "signal_accuracy must be in [0, 1], got 1.5"),
+    # The one check of the accuracy's range: the signal matrix takes it unchecked.
+    "pd-signal-accuracy-below-0": (partial(PdConfig, signal_accuracy=-0.1), ValueError,
+                                   "signal_accuracy must be in [0, 1], got -0.1"),
     "pd-cd-0": (partial(PdConfig, cd=0), ValueError, "all payoffs must be positive"),
     **{f"{config.__name__}-{name}-{label}": (
         partial(config, **{name: value}), ValueError,
@@ -275,8 +277,6 @@ FAULTS = {
     "play-many-unknown-policy": (
         partial(pd_play_many, np.array([2]), np.array([0]), ["C", "C"], PdConfig(), np.random.default_rng(0)),
         ValueError, f"policy must be one of {PD_POLICIES}, got ['C', 'C']"),
-    # --- beliefs ---
-    "accuracy-above-1": (partial(signal_likelihoods, 1.2), ValueError, "accuracy must be in [0, 1], got 1.2"),
     # --- evolve ---
     **{f"from-shares-{label}": (partial(Population.from_shares, ("a", "b", "c"), shares, 10), ValueError,
                                 f"shares must be 3 finite, nonnegative numbers that sum to 1, got {text}")
@@ -431,8 +431,8 @@ SHARE_ENTRIES = st.floats(0.0, 1.0) | st.sampled_from([0, 1, 0.5, math.nan, math
 
 @st.composite
 def share_vectors(draw):
-    """(kind, a list or tuple): shares that sum to 1 ("normalized"), shares whose sum is off by more
-    than 1e-9 ("off"), or 0 to 5 entries drawn freely ("free")."""
+    """(kind, a list, tuple or numpy array): shares that sum to 1 ("normalized"), shares whose sum is
+    off by more than 1e-9 ("off"), or 0 to 5 entries drawn freely ("free")."""
     kind = draw(st.sampled_from(["normalized", "off", "free"]))
     if kind == "free":
         values = draw(st.lists(SHARE_ENTRIES, max_size=5))
@@ -441,7 +441,7 @@ def share_vectors(draw):
         values = [weight / sum(weights) for weight in weights]
         if kind == "off":
             values[draw(st.integers(0, 2))] += draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(2e-9, 0.5))
-    return kind, draw(st.sampled_from([list, tuple]))(values)
+    return kind, draw(st.sampled_from([list, tuple, np.array]))(values)
 
 
 @given(share_vectors())
@@ -451,6 +451,10 @@ def share_vectors(draw):
 @example(("free", [math.nan, 0.5, 0.5]))
 @example(("free", (0.5, 0.5)))
 @example(("free", [1, 0, 0]))
+@example(("normalized", np.array([0.2, 0.3, 0.5])))
+@example(("free", np.array([1, 0, 0])))
+@example(("free", np.eye(3)))
+@example(("free", np.array(0.5)))
 def test_every_share_reader_takes_the_same_vectors(case):
     # The config, the start allocation, the FDT solver, the beauty guesses and the analytic EUs accept
     # the same share vectors, and refuse the rest with one message apart from the name.

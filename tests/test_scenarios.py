@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fdtsim.graphs import THEORIES, decide
-from fdtsim.scenarios import SCENARIO_IDS, build
+from fdtsim.scenarios import SCENARIO_IDS, _template, build
 from oracles import (
     SCENARIO_PAIRS,
     build_by_constructors,
@@ -191,3 +191,18 @@ def dicts(problem):
 def test_builds_share_no_dict(scenario):
     first, second = build(scenario), build(scenario)
     assert not {id(d) for d in dicts(first)} & {id(d) for d in dicts(second)}
+
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIO_IDS))
+def test_builds_hold_their_templates_fields(scenario):
+    # A copy replaces only what build refills and holds every other field, private ones included, as the
+    # template's own object, so a field that a constructor gains reaches every copy.
+    problem, template = build(scenario), _template(scenario)
+    assert problem.model.cpts.keys() == template.model.cpts.keys()
+    parts = [(problem, template, {"model", "evidence"}), (problem.model, template.model, {"cpts", "utility"})]
+    parts += [(cpt, template.model.cpts[vid], {"table"}) for vid, cpt in problem.model.cpts.items()]
+    for copy, original, refilled in parts:
+        assert vars(copy).keys() == vars(original).keys()
+        fields = vars(original)
+        assert [name for name, value in vars(copy).items() if name not in refilled and value is not fields[name]] == []
